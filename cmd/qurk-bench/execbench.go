@@ -11,7 +11,7 @@ import (
 
 // execBench is the BENCH_exec.json schema: one entry per executor
 // pipeline from exec.BenchSuite, measured live and compared against the
-// committed pre-iterator (goroutine-per-operator) baseline.
+// baseline committed in the suite (see exec.BenchCase).
 type execBench struct {
 	Pipelines []execPipeline `json:"pipelines"`
 }
@@ -26,7 +26,7 @@ type execPipeline struct {
 	// queues and operator barriers during one execution — the executor's
 	// steady-state memory footprint in tuples.
 	PeakTuplesResident int64 `json:"peak_tuples_resident"`
-	// Baseline* are the pre-refactor executor's committed measurements.
+	// Baseline* are the previous executor's committed measurements.
 	BaselineNsOp     float64 `json:"baseline_ns_op"`
 	BaselineAllocsOp int64   `json:"baseline_allocs_op"`
 	Speedup          float64 `json:"speedup"`
@@ -74,7 +74,7 @@ func runExecBench() error {
 			p.AllocReduction = 1 - float64(p.AllocsOp)/float64(p.BaselineAllocsOp)
 		}
 		out.Pipelines = append(out.Pipelines, p)
-		fmt.Printf("EXEC %s: %d ns/op, %d B/op, %d allocs/op, peak %d tuples resident (%.2fx vs pre-iterator, %.0f%% fewer allocs)\n",
+		fmt.Printf("EXEC %s: %d ns/op, %d B/op, %d allocs/op, peak %d tuples resident (%.2fx vs baseline, %.0f%% fewer allocs)\n",
 			p.Name, p.NsOp, p.BytesOp, p.AllocsOp, p.PeakTuplesResident, p.Speedup, 100*p.AllocReduction)
 	}
 	data, err := json.MarshalIndent(out, "", "  ")

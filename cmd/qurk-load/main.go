@@ -49,7 +49,7 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "filter", "scenario: filter | join | joinprefilter | orderby | warmstart | streaming | multitenant | hybridcrowd | inference")
+	workload := flag.String("workload", "filter", "scenario: filter | join | joinprefilter | orderby | sort | warmstart | streaming | multitenant | hybridcrowd | inference")
 	tuples := flag.Int("tuples", 1000, "input cardinality")
 	workers := flag.Int("workers", 500, "simulated crowd size")
 	shards := flag.Int("shards", 0, "worker-pool claim shards (0 = one per 64 workers)")

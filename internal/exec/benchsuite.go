@@ -17,10 +17,14 @@ type BenchCase struct {
 	Name     string
 	SQL      string
 	WantRows int
-	// BaselineNsOp / BaselineAllocs are the pre-refactor (goroutine-per-
-	// node, queue-bridged) executor's measurements, committed so
-	// BENCH_exec.json can report the rewrite's gains against a fixed
-	// reference.
+	// BaselineNsOp / BaselineAllocs are the previous executor's
+	// measurements (tree-walking expression evaluator, copying scans):
+	// the median of 14–16 `qurk-bench -only EXEC` runs of that commit
+	// spread over the session that wrote BENCH_exec.json, on the same
+	// machine (2-CPU Intel Xeon, GOMAXPROCS 2, go1.24.0). That host's
+	// speed drifts by up to 1.5× within minutes, so one run's speedup
+	// can be off by that much. The numbers only describe that machine;
+	// compare on another one by measuring both commits there.
 	BaselineNsOp   float64
 	BaselineAllocs int64
 	Tables         func() []*relation.Table
@@ -79,17 +83,17 @@ func benchSeq(n int) []int64 {
 func BenchSuite() []BenchCase {
 	return []BenchCase{
 		{Name: "FilterPipeline", SQL: `SELECT v FROM vals WHERE v < 2048`, WantRows: 2048,
-			BaselineNsOp: 2053415, BaselineAllocs: 4217,
+			BaselineNsOp: 3022081, BaselineAllocs: 2128,
 			Tables: func() []*relation.Table {
 				return []*relation.Table{benchIntTable("vals", "v", benchSeq(4096))}
 			}},
 		{Name: "JoinGrid", SQL: `SELECT a.x, b.y FROM a, b WHERE a.x = b.y`, WantRows: 64,
-			BaselineNsOp: 1578326, BaselineAllocs: 4305,
+			BaselineNsOp: 2224129, BaselineAllocs: 166,
 			Tables: func() []*relation.Table {
 				return []*relation.Table{benchIntTable("a", "x", benchSeq(64)), benchIntTable("b", "y", benchSeq(64))}
 			}},
 		{Name: "Distinct", SQL: `SELECT DISTINCT v FROM vals`, WantRows: 256,
-			BaselineNsOp: 2230091, BaselineAllocs: 16452,
+			BaselineNsOp: 1630813, BaselineAllocs: 568,
 			Tables: func() []*relation.Table {
 				vals := make([]int64, 4096)
 				for i := range vals {
@@ -98,7 +102,7 @@ func BenchSuite() []BenchCase {
 				return []*relation.Table{benchIntTable("vals", "v", vals)}
 			}},
 		{Name: "OrderBy", SQL: `SELECT v FROM vals ORDER BY v DESC`, WantRows: 4096,
-			BaselineNsOp: 6472494, BaselineAllocs: 16589,
+			BaselineNsOp: 13930305, BaselineAllocs: 4683,
 			Tables: func() []*relation.Table {
 				vals := benchSeq(4096)
 				rng := rand.New(rand.NewSource(42))

@@ -15,6 +15,24 @@
 // batching and asynchrony are preserved where they pay and avoided where
 // they don't. Steady-state allocation is O(pipeline depth), not O(rows).
 //
+// # Compiled expressions
+//
+// Expressions are compiled once per query, when the operator that owns
+// them is built or its producer starts, against the schema of the
+// operator's input: every
+// operator emits tuples under its plan node's Schema(), so each column
+// reference binds to an ordinal and the compiled program reads row[i]
+// with no name resolution per row (compile.go). Boolean contexts —
+// filter conjuncts, join residuals — compile to predicates that return
+// bool, short-circuit AND/OR, and compare operands in place through
+// relation.Compare. Human task calls compile their argument programs
+// and call key; operators resolve them through the task manager and
+// then evaluate the same programs over the answers. Errors a row can
+// raise (an unknown column, an unresolved call) are returned per row by
+// the program and reported per tuple through the query. Compiled
+// programs are not cached with plans: compiling costs O(expression
+// nodes) per query.
+//
 // # Tuple ownership
 //
 // A tuple returned by Next is transient unless the iterator's Stable()
@@ -28,7 +46,10 @@
 // value slices, putBuf zeroes and returns them.
 //
 // Closing the root propagates Close upstream, so LIMIT and cancellation
-// stop scans and upstream producers early instead of draining them.
+// stop scans and upstream producers early instead of draining them. A
+// canceled query with a task-manager scope ends its result stream only
+// after its producer goroutines have exited, so no HIT post for it is
+// still under way once the consumer sees the end.
 //
 // # Plan caching
 //

@@ -5,45 +5,7 @@
 // route their questions through the Task Manager.
 package exec
 
-import (
-	"fmt"
-	"strings"
-
-	"repro/internal/qlang"
-	"repro/internal/relation"
-)
-
-// CallKey canonically identifies a call site for result substitution;
-// field projections share the underlying invocation (the paper runs
-// findCEO once per company even though Query 1 mentions it twice).
-func CallKey(c *qlang.Call, t relation.Tuple) (string, error) {
-	args, err := evalArgs(c, t, nil)
-	if err != nil {
-		return "", err
-	}
-	var b []byte
-	b = append(b, strings.ToLower(c.Name)...)
-	b = append(b, '(')
-	for _, a := range args {
-		b = a.Encode(b)
-	}
-	b = append(b, ')')
-	return string(b), nil
-}
-
-// evalArgs evaluates a call's arguments locally (call arguments may not
-// themselves contain human calls).
-func evalArgs(c *qlang.Call, t relation.Tuple, calls map[string]relation.Value) ([]relation.Value, error) {
-	args := make([]relation.Value, len(c.Args))
-	for i, a := range c.Args {
-		v, err := Eval(a, t, calls)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
-	return args, nil
-}
+import "repro/internal/qlang"
 
 // CollectCalls returns the distinct human task calls in an expression,
 // in first-appearance order. Aggregate functions are not tasks.
@@ -55,11 +17,9 @@ func CollectCalls(e qlang.Expr, script *qlang.Script) []*qlang.Call {
 		switch v := e.(type) {
 		case *qlang.Call:
 			if _, ok := script.Task(v.Name); ok {
-				sig := v.String()
 				// Field projections share one invocation; key by the
 				// call without the field.
 				base := (&qlang.Call{Name: v.Name, Args: v.Args}).String()
-				_ = sig
 				if !seen[base] {
 					seen[base] = true
 					out = append(out, v)
@@ -82,134 +42,4 @@ func CollectCalls(e qlang.Expr, script *qlang.Script) []*qlang.Call {
 // HasCalls reports whether an expression contains any human task call.
 func HasCalls(e qlang.Expr, script *qlang.Script) bool {
 	return len(CollectCalls(e, script)) > 0
-}
-
-// Eval evaluates an expression over a tuple. calls maps resolved human
-// invocations (keyed by CallKey) to their reduced values; a call missing
-// from the map is an error — the operator must resolve calls first.
-func Eval(e qlang.Expr, t relation.Tuple, calls map[string]relation.Value) (relation.Value, error) {
-	switch v := e.(type) {
-	case *qlang.Literal:
-		return v.Value, nil
-	case *qlang.ColumnRef:
-		if !t.Has(v.QualifiedName()) {
-			return relation.Null, fmt.Errorf("exec: unknown column %q in %v", v.QualifiedName(), t.Schema)
-		}
-		return t.Get(v.QualifiedName()), nil
-	case *qlang.Call:
-		key, err := CallKey(v, t)
-		if err != nil {
-			return relation.Null, err
-		}
-		val, ok := calls[key]
-		if !ok {
-			return relation.Null, fmt.Errorf("exec: unresolved call %s", v)
-		}
-		if v.Field != "" {
-			return val.Field(v.Field), nil
-		}
-		return val, nil
-	case *qlang.Binary:
-		return evalBinary(v, t, calls)
-	case *qlang.Unary:
-		x, err := Eval(v.X, t, calls)
-		if err != nil {
-			return relation.Null, err
-		}
-		switch v.Op {
-		case "NOT":
-			return relation.NewBool(!x.Truthy()), nil
-		case "POSSIBLY":
-			return relation.NewBool(x.Truthy()), nil
-		case "-":
-			if x.Kind() == relation.KindInt {
-				return relation.NewInt(-x.Int()), nil
-			}
-			return relation.NewFloat(-x.Float()), nil
-		default:
-			return relation.Null, fmt.Errorf("exec: unknown unary op %q", v.Op)
-		}
-	case *qlang.Star:
-		return relation.Null, fmt.Errorf("exec: * cannot be evaluated")
-	default:
-		return relation.Null, fmt.Errorf("exec: unsupported expression %T", e)
-	}
-}
-
-func evalBinary(v *qlang.Binary, t relation.Tuple, calls map[string]relation.Value) (relation.Value, error) {
-	// AND/OR short-circuit on the left operand.
-	if v.Op == "AND" || v.Op == "OR" {
-		l, err := Eval(v.L, t, calls)
-		if err != nil {
-			return relation.Null, err
-		}
-		lt := l.Truthy()
-		if v.Op == "AND" && !lt {
-			return relation.NewBool(false), nil
-		}
-		if v.Op == "OR" && lt {
-			return relation.NewBool(true), nil
-		}
-		r, err := Eval(v.R, t, calls)
-		if err != nil {
-			return relation.Null, err
-		}
-		return relation.NewBool(r.Truthy()), nil
-	}
-	l, err := Eval(v.L, t, calls)
-	if err != nil {
-		return relation.Null, err
-	}
-	r, err := Eval(v.R, t, calls)
-	if err != nil {
-		return relation.Null, err
-	}
-	switch v.Op {
-	case "=":
-		return relation.NewBool(l.Compare(r) == 0), nil
-	case "!=":
-		return relation.NewBool(l.Compare(r) != 0), nil
-	case "<":
-		return relation.NewBool(l.Compare(r) < 0), nil
-	case "<=":
-		return relation.NewBool(l.Compare(r) <= 0), nil
-	case ">":
-		return relation.NewBool(l.Compare(r) > 0), nil
-	case ">=":
-		return relation.NewBool(l.Compare(r) >= 0), nil
-	case "+", "-", "*", "/":
-		return evalArith(v.Op, l, r)
-	default:
-		return relation.Null, fmt.Errorf("exec: unknown operator %q", v.Op)
-	}
-}
-
-func evalArith(op string, l, r relation.Value) (relation.Value, error) {
-	bothInt := l.Kind() == relation.KindInt && r.Kind() == relation.KindInt
-	if bothInt && op != "/" {
-		a, b := l.Int(), r.Int()
-		switch op {
-		case "+":
-			return relation.NewInt(a + b), nil
-		case "-":
-			return relation.NewInt(a - b), nil
-		case "*":
-			return relation.NewInt(a * b), nil
-		}
-	}
-	a, b := l.Float(), r.Float()
-	switch op {
-	case "+":
-		return relation.NewFloat(a + b), nil
-	case "-":
-		return relation.NewFloat(a - b), nil
-	case "*":
-		return relation.NewFloat(a * b), nil
-	case "/":
-		if b == 0 {
-			return relation.Null, fmt.Errorf("exec: division by zero")
-		}
-		return relation.NewFloat(a / b), nil
-	}
-	return relation.Null, fmt.Errorf("exec: unknown arithmetic op %q", op)
 }

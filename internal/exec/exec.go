@@ -165,6 +165,10 @@ type Query struct {
 
 	trackers []*joinTracker
 
+	// producers tracks the goroutines of async (human-powered)
+	// operators; see Start for when the stream waits on them.
+	producers sync.WaitGroup
+
 	// residentSum accumulates the buffer sizes of barrier operators
 	// (sorts, joins, aggregates); with queue high-water marks it bounds
 	// how many tuples the query ever held at once (PeakTuplesResident).
@@ -464,6 +468,14 @@ func Start(root plan.Node, cfg Config) (*Query, error) {
 			}
 		}
 		top.Close()
+		if q.stopped() && q.cfg.Scope != nil {
+			// Canceling the scope resolved every outstanding task, so
+			// the producers exit promptly; a HIT post already under way
+			// when Cancel ran completes first. Waiting for them means
+			// nothing is still posting for the query once its stream
+			// ends.
+			q.producers.Wait()
+		}
 		q.endSpans()
 		q.result.Close()
 		close(q.done)
@@ -556,11 +568,16 @@ func (q *Query) exprsHaveCalls(exprs ...qlang.Expr) bool {
 	return false
 }
 
-// async sets up the queue bridge for a human-powered operator: the
-// caller launches a producer goroutine that pushes into op.out, and
+// async sets up the queue bridge for a human-powered operator: it
+// starts produce, which pushes into op.out, on its own goroutine, and
 // downstream pulls through the returned queueIter.
-func (q *Query) async(op *operator) *queueIter {
+func (q *Query) async(op *operator, produce func()) *queueIter {
 	op.out = queue.New(q.cfg.QueueSize)
+	q.producers.Add(1)
+	go func() {
+		defer q.producers.Done()
+		produce()
+	}()
 	return &queueIter{op: op}
 }
 
@@ -585,11 +602,10 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			return nil, nil, err
 		}
 		if !q.exprsHaveCalls(v.Conjuncts...) {
-			return &filterIter{q: q, op: op, child: in, conjuncts: v.Conjuncts}, op, nil
+			pass := compileConjuncts(v.Conjuncts, v.Input.Schema())
+			return &filterIter{q: q, op: op, child: in, pass: pass}, op, nil
 		}
-		it := q.async(op)
-		go q.runFilter(op, v, ensureStable(in))
-		return it, op, nil
+		return q.async(op, func() { q.runFilter(op, v, ensureStable(in)) }), op, nil
 	case *plan.Project:
 		in, _, err := q.build(v.Input, op.span)
 		if err != nil {
@@ -600,19 +616,16 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			exprs[i] = item.Expr
 		}
 		if !q.exprsHaveCalls(exprs...) {
-			return &projectIter{q: q, op: op, v: v, child: in}, op, nil
+			items := compileItems(v.Items, v.Input.Schema())
+			return &projectIter{q: q, op: op, v: v, child: in, items: items}, op, nil
 		}
-		it := q.async(op)
-		go q.runProject(op, v, ensureStable(in))
-		return it, op, nil
+		return q.async(op, func() { q.runProject(op, v, ensureStable(in)) }), op, nil
 	case *plan.PreFilter:
 		in, _, err := q.build(v.Input, op.span)
 		if err != nil {
 			return nil, nil, err
 		}
-		it := q.async(op)
-		go q.runPreFilter(op, v, ensureStable(in))
-		return it, op, nil
+		return q.async(op, func() { q.runPreFilter(op, v, ensureStable(in)) }), op, nil
 	case *plan.Join:
 		left, lop, err := q.build(v.Left, op.span)
 		if err != nil {
@@ -635,11 +648,10 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			})
 		}
 		if v.HumanTask == nil {
-			return &localJoinIter{q: q, op: op, v: v, left: left, right: ensureStable(right)}, op, nil
+			residual := compileConjuncts(v.Residual, v.Schema())
+			return &localJoinIter{q: q, op: op, v: v, residual: residual, left: left, right: ensureStable(right)}, op, nil
 		}
-		it := q.async(op)
-		go q.runJoin(op, v, ensureStable(left), ensureStable(right))
-		return it, op, nil
+		return q.async(op, func() { q.runJoin(op, v, ensureStable(left), ensureStable(right)) }), op, nil
 	case *plan.OrderBy:
 		in, _, err := q.build(v.Input, op.span)
 		if err != nil {
@@ -650,19 +662,16 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			exprs[i] = k.Expr
 		}
 		if !q.exprsHaveCalls(exprs...) {
-			return &orderByIter{q: q, op: op, v: v, child: in}, op, nil
+			key := compileValues(exprs, v.Input.Schema())
+			return &orderByIter{q: q, op: op, v: v, key: key, child: in}, op, nil
 		}
-		it := q.async(op)
-		go q.runOrderBy(op, v, ensureStable(in))
-		return it, op, nil
+		return q.async(op, func() { q.runOrderBy(op, v, ensureStable(in)) }), op, nil
 	case *plan.Rank:
 		in, _, err := q.build(v.Input, op.span)
 		if err != nil {
 			return nil, nil, err
 		}
-		it := q.async(op)
-		go q.runRank(op, v, ensureStable(in))
-		return it, op, nil
+		return q.async(op, func() { q.runRank(op, v, ensureStable(in)) }), op, nil
 	case *plan.Aggregate:
 		exprs := append([]qlang.Expr(nil), v.Keys...)
 		for _, item := range v.Items {
@@ -676,11 +685,9 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 			return nil, nil, err
 		}
 		if !q.exprsHaveCalls(exprs...) {
-			return &aggregateIter{q: q, op: op, v: v, child: in}, op, nil
+			return &aggregateIter{q: q, op: op, v: v, prog: compileAggregate(v), child: in}, op, nil
 		}
-		it := q.async(op)
-		go q.runAggregate(op, v, ensureStable(in))
-		return it, op, nil
+		return q.async(op, func() { q.runAggregate(op, v, ensureStable(in)) }), op, nil
 	case *plan.Distinct:
 		in, _, err := q.build(v.Input, op.span)
 		if err != nil {
@@ -698,26 +705,16 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 	}
 }
 
-// resolveCalls submits every human call of exprs for tuple t and invokes
-// then with the resolved values (or an error). then runs synchronously
-// when there are no calls or all are cached. assignments > 0 overrides
-// the per-task redundancy (POSSIBLY predicates pass 1).
-func (q *Query) resolveCalls(op *operator, t relation.Tuple, exprs []qlang.Expr, then func(map[string]relation.Value, error)) {
-	q.resolveCallsN(op, t, exprs, 0, then)
+// resolveCalls submits the compiled human calls for tuple t and invokes
+// then with the resolved values keyed by call key (or an error). then
+// runs synchronously when there are no calls or all are cached.
+// assignments > 0 overrides the per-task redundancy (POSSIBLY predicates
+// pass 1).
+func (q *Query) resolveCalls(op *operator, t relation.Tuple, calls []*boundCall, then func(map[string]relation.Value, error)) {
+	q.resolveCallsN(op, t, calls, 0, then)
 }
 
-func (q *Query) resolveCallsN(op *operator, t relation.Tuple, exprs []qlang.Expr, assignments int, then func(map[string]relation.Value, error)) {
-	var calls []*qlang.Call
-	seen := map[string]bool{}
-	for _, e := range exprs {
-		for _, c := range CollectCalls(e, q.cfg.Script) {
-			base := (&qlang.Call{Name: c.Name, Args: c.Args}).String()
-			if !seen[base] {
-				seen[base] = true
-				calls = append(calls, c)
-			}
-		}
-	}
+func (q *Query) resolveCallsN(op *operator, t relation.Tuple, calls []*boundCall, assignments int, then func(map[string]relation.Value, error)) {
 	if len(calls) == 0 {
 		then(nil, nil)
 		return
@@ -731,17 +728,12 @@ func (q *Query) resolveCallsN(op *operator, t relation.Tuple, exprs []qlang.Expr
 	var firstErr error
 	remaining := len(calls)
 	for _, c := range calls {
-		def, ok := q.cfg.Script.Task(c.Name)
+		def, ok := q.cfg.Script.Task(c.call.Name)
 		if !ok {
-			then(nil, fmt.Errorf("exec: unknown task %q", c.Name))
+			then(nil, fmt.Errorf("exec: unknown task %q", c.call.Name))
 			return
 		}
-		key, err := CallKey(c, t)
-		if err != nil {
-			then(nil, err)
-			return
-		}
-		args, err := evalArgs(c, t, nil)
+		key, args, err := c.eval(t.Values)
 		if err != nil {
 			then(nil, err)
 			return

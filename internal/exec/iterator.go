@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -94,9 +95,10 @@ func (qi *queueIter) Next() (relation.Tuple, bool) { return qi.op.out.Pop() }
 func (qi *queueIter) Close()                       { qi.op.out.Close() }
 func (qi *queueIter) Stable() bool                 { return true }
 
-// scanIter streams the table snapshot, re-labelling tuples with the
-// alias-qualified schema. The snapshot slice shares value storage with
-// the table, so emitted tuples are stable.
+// scanIter streams a read-only view of the table, re-labelling tuples
+// with the alias-qualified schema. The view shares the table's storage
+// (tables are append-only), so emitted tuples are stable and the scan
+// copies nothing.
 type scanIter struct {
 	q       *Query
 	op      *operator
@@ -109,17 +111,17 @@ type scanIter struct {
 func (s *scanIter) Next() (relation.Tuple, bool) {
 	if !s.started {
 		s.started = true
-		s.rows = s.v.Table.Snapshot()
+		s.rows = s.v.Table.View()
 	}
 	if s.q.stopped() || s.i >= len(s.rows) {
 		s.op.markDone()
 		return relation.Tuple{}, false
 	}
-	row := s.rows[s.i]
+	vals := s.rows[s.i].Values
 	s.i++
 	atomic.AddInt64(&s.op.in, 1)
 	atomic.AddInt64(&s.op.emit, 1)
-	return relation.Tuple{Schema: s.v.Schema(), Values: row.Values}, true
+	return relation.Tuple{Schema: s.v.Schema(), Values: vals}, true
 }
 
 func (s *scanIter) Close() {
@@ -129,13 +131,14 @@ func (s *scanIter) Close() {
 
 func (s *scanIter) Stable() bool { return true }
 
-// filterIter evaluates call-free conjuncts inline. A tuple whose
-// conjunct errors is reported and dropped, as in the async cascade.
+// filterIter evaluates call-free conjuncts inline, as one compiled
+// predicate. A tuple whose conjunct errors is reported and dropped, as in
+// the async cascade.
 type filterIter struct {
-	q         *Query
-	op        *operator
-	child     Iterator
-	conjuncts []qlang.Expr
+	q     *Query
+	op    *operator
+	child Iterator
+	pass  predicate
 }
 
 func (f *filterIter) Next() (relation.Tuple, bool) {
@@ -150,20 +153,7 @@ func (f *filterIter) Next() (relation.Tuple, bool) {
 			return relation.Tuple{}, false
 		}
 		atomic.AddInt64(&f.op.in, 1)
-		pass := true
-		for _, c := range f.conjuncts {
-			val, err := Eval(c, t, nil)
-			if err != nil {
-				f.q.reportError(err)
-				pass = false
-				break
-			}
-			if !val.Truthy() {
-				pass = false
-				break
-			}
-		}
-		if !pass {
+		if !f.q.passes(f.pass, t) {
 			continue
 		}
 		atomic.AddInt64(&f.op.emit, 1)
@@ -179,12 +169,14 @@ func (f *filterIter) Close() {
 func (f *filterIter) Stable() bool { return f.child.Stable() }
 
 // projectIter computes call-free SELECT items into one reused scratch
-// buffer; its output is transient.
+// buffer; its output is transient. items holds one program per SELECT
+// item, nil for *.
 type projectIter struct {
 	q       *Query
 	op      *operator
 	v       *plan.Project
 	child   Iterator
+	items   []program
 	scratch []relation.Value
 }
 
@@ -202,12 +194,12 @@ func (p *projectIter) Next() (relation.Tuple, bool) {
 		atomic.AddInt64(&p.op.in, 1)
 		vals := p.scratch[:0]
 		ok = true
-		for _, it := range p.v.Items {
-			if _, isStar := it.Expr.(*qlang.Star); isStar {
+		for _, item := range p.items {
+			if item == nil {
 				vals = append(vals, t.Values...)
 				continue
 			}
-			val, err := Eval(it.Expr, t, nil)
+			val, err := item(t.Values, nil)
 			if err != nil {
 				p.q.reportError(err)
 				ok = false
@@ -239,6 +231,7 @@ type localJoinIter struct {
 	q           *Query
 	op          *operator
 	v           *plan.Join
+	residual    predicate
 	left, right Iterator
 	started     bool
 	build       []relation.Tuple
@@ -283,7 +276,7 @@ func (j *localJoinIter) Next() (relation.Tuple, bool) {
 			vals = append(vals, rt.Values...)
 			j.scratch = vals
 			joined := relation.Tuple{Schema: j.v.Schema(), Values: vals}
-			if j.q.passesAll(j.v.Residual, joined) {
+			if j.q.passes(j.residual, joined) {
 				atomic.AddInt64(&j.op.emit, 1)
 				return joined, true
 			}
@@ -389,6 +382,7 @@ type orderByIter struct {
 	q       *Query
 	op      *operator
 	v       *plan.OrderBy
+	key     []program // one per sort key
 	child   Iterator
 	started bool
 	stable  bool
@@ -427,7 +421,6 @@ func (o *orderByIter) Next() (relation.Tuple, bool) {
 }
 
 func (o *orderByIter) consume() {
-	nk := len(o.v.Keys)
 	for {
 		t, ok := o.child.Next()
 		if !ok {
@@ -441,8 +434,8 @@ func (o *orderByIter) consume() {
 			t = relation.Tuple{Schema: t.Schema, Values: *buf}
 		}
 		o.rows = append(o.rows, t)
-		for _, k := range o.v.Keys {
-			val, err := Eval(k.Expr, t, nil)
+		for _, k := range o.key {
+			val, err := k(t.Values, nil)
 			if err != nil {
 				o.q.reportError(err)
 				val = relation.Null
@@ -455,18 +448,27 @@ func (o *orderByIter) consume() {
 	for i := range o.idx {
 		o.idx[i] = i
 	}
-	sort.SliceStable(o.idx, func(a, b int) bool {
-		ka, kb := o.keys[o.idx[a]*nk:], o.keys[o.idx[b]*nk:]
-		for j := range o.v.Keys {
-			c := ka[j].Compare(kb[j])
-			if o.v.Keys[j].Desc {
+	sortByKeys(o.idx, o.v.Keys, o.keys)
+}
+
+// sortByKeys sorts the row indices idx by their sort keys: keys holds
+// len(order) values per row, row-major, compared in place. Rows with
+// equal keys keep their input order: ties break on the row index, which
+// makes the order total, so an unstable sort gives the stable result.
+func sortByKeys(idx []int, order []qlang.OrderItem, keys []relation.Value) {
+	nk := len(order)
+	slices.SortFunc(idx, func(a, b int) int {
+		ka, kb := keys[a*nk:], keys[b*nk:]
+		for j := range order {
+			c := relation.Compare(&ka[j], &kb[j])
+			if order[j].Desc {
 				c = -c
 			}
 			if c != 0 {
-				return c < 0
+				return c
 			}
 		}
-		return false
+		return a - b
 	})
 }
 
@@ -495,6 +497,7 @@ type aggregateIter struct {
 	q       *Query
 	op      *operator
 	v       *plan.Aggregate
+	prog    aggPrograms
 	child   Iterator
 	started bool
 	out     []relation.Tuple
@@ -539,8 +542,8 @@ func (a *aggregateIter) consume() {
 		n++
 		keyEnc = keyEnc[:0]
 		evalOK := true
-		for _, k := range a.v.Keys {
-			kv, err := Eval(k, t, nil)
+		for _, k := range a.prog.keys {
+			kv, err := k(t.Values, nil)
 			if err != nil {
 				a.q.reportError(err)
 				evalOK = false
@@ -563,12 +566,11 @@ func (a *aggregateIter) consume() {
 			order = append(order, string(keyEnc))
 		}
 		g.count++
-		for i, it := range a.v.Items {
-			call, isAgg := aggCall(it.Expr)
-			if !isAgg || len(call.Args) == 0 {
+		for i, arg := range a.prog.args {
+			if arg == nil {
 				continue
 			}
-			val, err := Eval(call.Args[0], t, nil)
+			val, err := arg(t.Values, nil)
 			if err != nil {
 				a.q.reportError(err)
 				continue
@@ -603,7 +605,7 @@ func (a *aggregateIter) consume() {
 				}
 				continue
 			}
-			val, err := Eval(it.Expr, g.first, nil)
+			val, err := a.prog.items[i](g.first.Values, nil)
 			if err != nil {
 				a.q.reportError(err)
 				val = relation.Null

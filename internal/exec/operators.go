@@ -21,18 +21,25 @@ import (
 // set). Tuples flow out as soon as their last predicate passes.
 func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
 	defer op.finish()
+	s := v.Input.Schema()
 	var local, human []qlang.Expr
+	var humanPass []predicate
+	var humanCalls [][]*boundCall
 	taskNames := map[string]bool{}
 	for _, c := range v.Conjuncts {
-		if HasCalls(c, q.cfg.Script) {
-			human = append(human, c)
-			for _, call := range CollectCalls(c, q.cfg.Script) {
-				taskNames[call.Name] = true
-			}
-		} else {
+		calls := compileCalls([]qlang.Expr{c}, s, q.cfg.Script)
+		if len(calls) == 0 {
 			local = append(local, c)
+			continue
+		}
+		human = append(human, c)
+		humanPass = append(humanPass, compilePredicate(c, s))
+		humanCalls = append(humanCalls, calls)
+		for _, bc := range calls {
+			taskNames[bc.call.Name] = true
 		}
 	}
+	localPass := compileConjuncts(local, s)
 
 	var wg sync.WaitGroup
 	var sem chan struct{}
@@ -46,15 +53,8 @@ func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
 		wg.Done()
 	}
 	process := func(t relation.Tuple) {
-		for _, c := range local {
-			pass, err := Eval(c, t, nil)
-			if err != nil {
-				q.reportError(err)
-				return
-			}
-			if !pass.Truthy() {
-				return
-			}
+		if !q.passes(localPass, t) {
+			return
 		}
 		if len(human) == 0 {
 			op.push(t)
@@ -62,7 +62,7 @@ func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
 		}
 		wg.Add(1)
 		if q.cfg.GroupFilters && len(human) > 1 {
-			q.groupFilter(op, t, human, &wg)
+			q.groupFilter(op, t, humanPass, humanCalls, &wg)
 			return
 		}
 		if sem != nil {
@@ -82,24 +82,24 @@ func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
 				finish()
 				return
 			}
-			c := human[order[k]]
+			h := order[k]
 			asg := 0
-			if u, ok := c.(*qlang.Unary); ok && u.Op == "POSSIBLY" {
+			if u, ok := human[h].(*qlang.Unary); ok && u.Op == "POSSIBLY" {
 				asg = 1 // approximate predicate: no redundancy
 			}
-			q.resolveCallsN(op, t, []qlang.Expr{c}, asg, func(calls map[string]relation.Value, err error) {
+			q.resolveCallsN(op, t, humanCalls[h], asg, func(calls map[string]relation.Value, err error) {
 				if err != nil {
 					q.reportError(err)
 					finish()
 					return
 				}
-				pass, err := Eval(c, t, calls)
+				pass, err := humanPass[h](t.Values, calls)
 				if err != nil {
 					q.reportError(err)
 					finish()
 					return
 				}
-				if !pass.Truthy() {
+				if !pass {
 					finish()
 					return
 				}
@@ -135,11 +135,12 @@ func (q *Query) filterOrder(human []qlang.Expr) []int {
 	return order
 }
 
-// groupFilter asks all human conjuncts about one tuple in a single HIT.
-func (q *Query) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, wg *sync.WaitGroup) {
+// groupFilter asks all human conjuncts about one tuple in a single HIT:
+// pass holds each conjunct's predicate and calls its task calls.
+func (q *Query) groupFilter(op *operator, t relation.Tuple, pass []predicate, calls [][]*boundCall, wg *sync.WaitGroup) {
 	// Each conjunct must be a bare boolean task call to group.
 	var reqs []taskmgr.Request
-	calls := make(map[string]relation.Value)
+	results := make(map[string]relation.Value)
 	var mu sync.Mutex
 	remaining := 0
 	var firstErr error
@@ -149,44 +150,38 @@ func (q *Query) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, 
 			q.reportError(firstErr)
 			return
 		}
-		for _, c := range human {
-			pass, err := Eval(c, t, calls)
+		for _, p := range pass {
+			ok, err := p(t.Values, results)
 			if err != nil {
 				q.reportError(err)
 				return
 			}
-			if !pass.Truthy() {
+			if !ok {
 				return
 			}
 		}
 		op.push(t)
 	}
-	for _, c := range human {
-		for _, call := range CollectCalls(c, q.cfg.Script) {
-			def, ok := q.cfg.Script.Task(call.Name)
+	for _, cs := range calls {
+		for _, bc := range cs {
+			def, ok := q.cfg.Script.Task(bc.call.Name)
 			if !ok {
-				q.reportError(fmt.Errorf("exec: unknown task %q", call.Name))
+				q.reportError(fmt.Errorf("exec: unknown task %q", bc.call.Name))
 				wg.Done()
 				return
 			}
-			key, err := CallKey(call, t)
-			if err != nil {
-				q.reportError(err)
-				wg.Done()
-				return
-			}
-			args, err := evalArgs(call, t, nil)
+			key, args, err := bc.eval(t.Values)
 			if err != nil {
 				q.reportError(err)
 				wg.Done()
 				return
 			}
 			mu.Lock()
-			if _, dup := calls[key]; dup {
+			if _, dup := results[key]; dup {
 				mu.Unlock()
 				continue
 			}
-			calls[key] = relation.Null // placeholder marks membership
+			results[key] = relation.Null // placeholder marks membership
 			remaining++
 			mu.Unlock()
 			reqs = append(reqs, taskmgr.Request{
@@ -199,7 +194,7 @@ func (q *Query) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, 
 					if out.Err != nil && firstErr == nil {
 						firstErr = out.Err
 					}
-					calls[key] = out.Value
+					results[key] = out.Value
 					remaining--
 					done := remaining == 0
 					mu.Unlock()
@@ -223,14 +218,14 @@ func (q *Query) groupFilter(op *operator, t relation.Tuple, human []qlang.Expr, 
 // runProject resolves each tuple's human calls, then computes outputs.
 func (q *Query) runProject(op *operator, v *plan.Project, in Iterator) {
 	defer op.finish()
-	exprs := make([]qlang.Expr, 0, len(v.Items))
-	taskNames := map[string]bool{}
-	for _, it := range v.Items {
-		exprs = append(exprs, it.Expr)
-		for _, call := range CollectCalls(it.Expr, q.cfg.Script) {
-			taskNames[call.Name] = true
-		}
+	s := v.Input.Schema()
+	items := compileItems(v.Items, s)
+	exprs := make([]qlang.Expr, len(v.Items))
+	for i, it := range v.Items {
+		exprs[i] = it.Expr
 	}
+	calls := compileCalls(exprs, s, q.cfg.Script)
+	taskNames := callTaskNames(calls)
 	var wg sync.WaitGroup
 	for {
 		t, ok := in.Next()
@@ -239,19 +234,19 @@ func (q *Query) runProject(op *operator, v *plan.Project, in Iterator) {
 		}
 		atomic.AddInt64(&op.in, 1)
 		wg.Add(1)
-		q.resolveCalls(op, t, exprs, func(calls map[string]relation.Value, err error) {
+		q.resolveCalls(op, t, calls, func(results map[string]relation.Value, err error) {
 			defer wg.Done()
 			if err != nil {
 				q.reportError(err)
 				return
 			}
 			vals := make([]relation.Value, 0, v.Schema().Len())
-			for _, it := range v.Items {
-				if _, isStar := it.Expr.(*qlang.Star); isStar {
+			for _, item := range items {
+				if item == nil {
 					vals = append(vals, t.Values...)
 					continue
 				}
-				val, err := Eval(it.Expr, t, calls)
+				val, err := item(t.Values, results)
 				if err != nil {
 					q.reportError(err)
 					return
@@ -306,19 +301,20 @@ func (q *Query) runJoin(op *operator, v *plan.Join, left, right Iterator) {
 	dw.Wait()
 	q.noteResident(int64(len(lbuf) + len(rbuf)))
 
-	ls := q.evalSide(lbuf, v.LeftArg)
-	rs := q.evalSide(rbuf, v.RightArg)
+	ls := q.evalSide(lbuf, compileValue(v.LeftArg, v.Left.Schema()))
+	rs := q.evalSide(rbuf, compileValue(v.RightArg, v.Right.Schema()))
+	residual := compileConjuncts(v.Residual, v.Schema())
 	if q.cfg.JoinPairwise {
-		q.joinPairwise(op, v, ls, rs)
+		q.joinPairwise(op, v, residual, ls, rs)
 		return
 	}
-	q.joinTwoColumn(op, v, ls, rs)
+	q.joinTwoColumn(op, v, residual, ls, rs)
 }
 
-func (q *Query) evalSide(buf []relation.Tuple, arg qlang.Expr) []joinSide {
+func (q *Query) evalSide(buf []relation.Tuple, arg program) []joinSide {
 	out := make([]joinSide, 0, len(buf))
 	for _, t := range buf {
-		val, err := Eval(arg, t, nil)
+		val, err := arg(t.Values, nil)
 		if err != nil {
 			q.reportError(err)
 			continue
@@ -334,23 +330,19 @@ func concatValues(l, r relation.Tuple) []relation.Value {
 	return append(vals, r.Values...)
 }
 
-func (q *Query) passesAll(conjuncts []qlang.Expr, t relation.Tuple) bool {
-	for _, c := range conjuncts {
-		pass, err := Eval(c, t, nil)
-		if err != nil {
-			q.reportError(err)
-			return false
-		}
-		if !pass.Truthy() {
-			return false
-		}
+// passes evaluates a call-free predicate over t, reporting an error as
+// a failed tuple.
+func (q *Query) passes(p predicate, t relation.Tuple) bool {
+	ok, err := p(t.Values, nil)
+	if err != nil {
+		q.reportError(err)
 	}
-	return true
+	return ok
 }
 
 // joinTwoColumn walks L×R blocks through the JoinColumns interface
 // (Figure 3): each block pair is one HIT answering blockL×blockR pairs.
-func (q *Query) joinTwoColumn(op *operator, v *plan.Join, ls, rs []joinSide) {
+func (q *Query) joinTwoColumn(op *operator, v *plan.Join, residual predicate, ls, rs []joinSide) {
 	lb, rb := q.cfg.JoinLeftBlock, q.cfg.JoinRightBlock
 	var wg sync.WaitGroup
 	for li := 0; li < len(ls); li += lb {
@@ -402,7 +394,7 @@ func (q *Query) joinTwoColumn(op *operator, v *plan.Join, ls, rs []joinSide) {
 					return
 				}
 				joined := relation.Tuple{Schema: v.Schema(), Values: concatValues(byKey[lk], byKey[rk])}
-				if q.passesAll(v.Residual, joined) {
+				if q.passes(residual, joined) {
 					op.push(joined)
 				}
 			})
@@ -413,7 +405,7 @@ func (q *Query) joinTwoColumn(op *operator, v *plan.Join, ls, rs []joinSide) {
 
 // joinPairwise submits one boolean question per pair — the naive join
 // interface the two-column layout is compared against.
-func (q *Query) joinPairwise(op *operator, v *plan.Join, ls, rs []joinSide) {
+func (q *Query) joinPairwise(op *operator, v *plan.Join, residual predicate, ls, rs []joinSide) {
 	var wg sync.WaitGroup
 	for _, l := range ls {
 		if q.Canceled() {
@@ -437,7 +429,7 @@ func (q *Query) joinPairwise(op *operator, v *plan.Join, ls, rs []joinSide) {
 						return
 					}
 					joined := relation.Tuple{Schema: v.Schema(), Values: concatValues(l.tuple, r.tuple)}
-					if q.passesAll(v.Residual, joined) {
+					if q.passes(residual, joined) {
 						op.push(joined)
 					}
 				},
@@ -475,6 +467,7 @@ func (q *Query) runPreFilter(op *operator, v *plan.PreFilter, in Iterator) {
 		maxBlock = 8 * q.cfg.PreFilterBlock
 	}
 	estimate := plan.EstimateRows(v.Input)
+	arg := compileValue(v.Arg, v.Input.Schema())
 	pulled := 0
 	first := true
 	rows := make([]relation.Tuple, 0, block)
@@ -499,7 +492,7 @@ func (q *Query) runPreFilter(op *operator, v *plan.PreFilter, in Iterator) {
 			}
 			atomic.AddInt64(&op.in, 1)
 			rows = append(rows, t)
-			a, err := Eval(v.Arg, t, nil)
+			a, err := arg(t.Values, nil)
 			args, argErr = append(args, a), append(argErr, err)
 			if err == nil && !c.Contains(cache.NewKey(v.Task.Name, []relation.Value{a})) {
 				uncached++
@@ -635,14 +628,15 @@ func (q *Query) runRank(op *operator, v *plan.Rank, in Iterator) {
 		return
 	}
 
+	argProgs := compileValues(v.Args, v.Input.Schema())
 	items := make([]rank.Item, 0, len(rows))
 	itemRow := make([]int, 0, len(rows)) // item index → row index
 	var failed []int
 	for i, t := range rows {
 		args := make([]relation.Value, len(v.Args))
 		ok := true
-		for j, e := range v.Args {
-			val, err := Eval(e, t, nil)
+		for j, arg := range argProgs {
+			val, err := arg(t.Values, nil)
 			if err != nil {
 				q.reportError(err)
 				ok = false
@@ -746,42 +740,37 @@ func (q *Query) runOrderBy(op *operator, v *plan.OrderBy, in Iterator) {
 		rows = append(rows, t)
 	}
 	q.noteResident(int64(len(rows)))
+	s := v.Input.Schema()
 	keyExprs := make([]qlang.Expr, len(v.Keys))
-	taskNames := map[string]bool{}
 	for i, k := range v.Keys {
 		keyExprs[i] = k.Expr
-		for _, call := range CollectCalls(k.Expr, q.cfg.Script) {
-			taskNames[call.Name] = true
-		}
 	}
-	keys := make([][]relation.Value, len(rows))
+	keyProgs := compileValues(keyExprs, s)
+	calls := compileCalls(keyExprs, s, q.cfg.Script)
+	taskNames := callTaskNames(calls)
+	// keys holds len(v.Keys) values per row, row-major. A key whose
+	// calls or evaluation fail stays Null, so the sort sees a
+	// well-defined value.
+	nk := len(v.Keys)
+	keys := make([]relation.Value, len(rows)*nk)
 	var wg sync.WaitGroup
 	for i, t := range rows {
 		i, t := i, t
 		wg.Add(1)
-		q.resolveCalls(op, t, keyExprs, func(calls map[string]relation.Value, err error) {
+		q.resolveCalls(op, t, calls, func(results map[string]relation.Value, err error) {
 			defer wg.Done()
 			if err != nil {
 				q.reportError(err)
-				// Fill with Null like the per-key error path below, so
-				// Compare during the sort sees a well-defined value.
-				ks := make([]relation.Value, len(keyExprs))
-				for j := range ks {
-					ks[j] = relation.Null
-				}
-				keys[i] = ks
 				return
 			}
-			ks := make([]relation.Value, len(keyExprs))
-			for j, e := range keyExprs {
-				val, err := Eval(e, t, calls)
+			for j, k := range keyProgs {
+				val, err := k(t.Values, results)
 				if err != nil {
 					q.reportError(err)
-					val = relation.Null
+					continue
 				}
-				ks[j] = val
+				keys[i*nk+j] = val
 			}
-			keys[i] = ks
 		})
 	}
 	q.flushTasks(taskNames)
@@ -791,26 +780,14 @@ func (q *Query) runOrderBy(op *operator, v *plan.OrderBy, in Iterator) {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ka, kb := keys[idx[a]], keys[idx[b]]
-		for j := range v.Keys {
-			c := ka[j].Compare(kb[j])
-			if v.Keys[j].Desc {
-				c = -c
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
+	sortByKeys(idx, v.Keys, keys)
 	for _, i := range idx {
 		op.push(rows[i])
 		// The barrier is over once the order is final: drop each
 		// tuple's buffered reference as it streams out, so a slow
 		// consumer doesn't pin the whole input twice (queue + buffer).
 		rows[i] = relation.Tuple{}
-		keys[i] = nil
+		clear(keys[i*nk : (i+1)*nk])
 	}
 }
 
@@ -829,26 +806,17 @@ func (q *Query) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 	groups := make(map[string]*group)
 	var order []string
 
-	exprs := make([]qlang.Expr, 0, len(v.Items)+len(v.Keys))
-	taskNames := map[string]bool{}
-	collect := func(e qlang.Expr) {
-		exprs = append(exprs, e)
-		for _, call := range CollectCalls(e, q.cfg.Script) {
-			taskNames[call.Name] = true
-		}
-	}
-	for _, k := range v.Keys {
-		collect(k)
-	}
+	prog := compileAggregate(v)
+	exprs := append([]qlang.Expr(nil), v.Keys...)
 	for _, it := range v.Items {
 		if call, isAgg := aggCall(it.Expr); isAgg {
-			for _, a := range call.Args {
-				collect(a)
-			}
+			exprs = append(exprs, call.Args...)
 		} else {
-			collect(it.Expr)
+			exprs = append(exprs, it.Expr)
 		}
 	}
+	calls := compileCalls(exprs, v.Input.Schema(), q.cfg.Script)
+	taskNames := callTaskNames(calls)
 
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -859,15 +827,15 @@ func (q *Query) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 		}
 		atomic.AddInt64(&op.in, 1)
 		wg.Add(1)
-		q.resolveCalls(op, t, exprs, func(calls map[string]relation.Value, err error) {
+		q.resolveCalls(op, t, calls, func(results map[string]relation.Value, err error) {
 			defer wg.Done()
 			if err != nil {
 				q.reportError(err)
 				return
 			}
 			var keyEnc []byte
-			for _, k := range v.Keys {
-				kv, err := Eval(k, t, calls)
+			for _, k := range prog.keys {
+				kv, err := k(t.Values, results)
 				if err != nil {
 					q.reportError(err)
 					return
@@ -878,18 +846,17 @@ func (q *Query) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 			defer mu.Unlock()
 			g, ok := groups[string(keyEnc)]
 			if !ok {
-				g = &group{first: t, firstCalls: calls,
+				g = &group{first: t, firstCalls: results,
 					sums: map[int]float64{}, mins: map[int]relation.Value{}, maxs: map[int]relation.Value{}}
 				groups[string(keyEnc)] = g
 				order = append(order, string(keyEnc))
 			}
 			g.count++
-			for i, it := range v.Items {
-				call, isAgg := aggCall(it.Expr)
-				if !isAgg || len(call.Args) == 0 {
+			for i, arg := range prog.args {
+				if arg == nil {
 					continue
 				}
-				val, err := Eval(call.Args[0], t, calls)
+				val, err := arg(t.Values, results)
 				if err != nil {
 					q.reportError(err)
 					continue
@@ -927,7 +894,7 @@ func (q *Query) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 				}
 				continue
 			}
-			val, err := Eval(it.Expr, g.first, g.firstCalls)
+			val, err := prog.items[i](g.first.Values, g.firstCalls)
 			if err != nil {
 				q.reportError(err)
 				val = relation.Null
@@ -936,6 +903,55 @@ func (q *Query) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 		}
 		op.push(relation.Tuple{Schema: v.Schema(), Values: vals})
 	}
+}
+
+// aggPrograms is an Aggregate node compiled against its input schema:
+// its group keys and, per SELECT item i, either args[i], the argument of
+// its aggregate function (nil when the function takes none), or
+// items[i], the item itself when it is not an aggregate.
+type aggPrograms struct {
+	keys, args, items []program
+}
+
+func compileAggregate(v *plan.Aggregate) aggPrograms {
+	s := v.Input.Schema()
+	p := aggPrograms{
+		keys:  compileValues(v.Keys, s),
+		args:  make([]program, len(v.Items)),
+		items: make([]program, len(v.Items)),
+	}
+	for i, it := range v.Items {
+		if call, isAgg := aggCall(it.Expr); isAgg {
+			if len(call.Args) > 0 {
+				p.args[i] = compileValue(call.Args[0], s)
+			}
+			continue
+		}
+		p.items[i] = compileValue(it.Expr, s)
+	}
+	return p
+}
+
+// compileItems compiles SELECT items over the input schema, leaving nil
+// for *.
+func compileItems(items []qlang.SelectItem, s *relation.Schema) []program {
+	out := make([]program, len(items))
+	for i, it := range items {
+		if _, isStar := it.Expr.(*qlang.Star); !isStar {
+			out[i] = compileValue(it.Expr, s)
+		}
+	}
+	return out
+}
+
+// callTaskNames returns the task names of calls, the tasks an operator
+// flushes once its input ends.
+func callTaskNames(calls []*boundCall) map[string]bool {
+	names := make(map[string]bool, len(calls))
+	for _, bc := range calls {
+		names[bc.call.Name] = true
+	}
+	return names
 }
 
 func aggCall(e qlang.Expr) (*qlang.Call, bool) {

@@ -70,6 +70,17 @@ func (t *Table) Snapshot() []Tuple {
 	return out
 }
 
+// View returns the current rows without copying them: a slice capped at
+// its length, so it shares the table's storage but never sees later
+// appends. Tables are append-only, so the rows in a view never change.
+// The view is read-only: callers must not write or reorder its elements
+// (Snapshot returns a copy they may reorder).
+func (t *Table) View() []Tuple {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.rows[:len(t.rows):len(t.rows)]
+}
+
 // Row returns the i-th row.
 func (t *Table) Row(i int) Tuple {
 	t.mu.RLock()

@@ -270,3 +270,29 @@ func TestSnapshotIsCopy(t *testing.T) {
 		t.Error("snapshot must not grow with table")
 	}
 }
+
+// A view shares the table's rows but is capped at its length: it never
+// sees later inserts, and appending to it cannot clobber them.
+func TestViewIsCapped(t *testing.T) {
+	tab := NewTable("r", twoColSchema(t))
+	_ = tab.InsertValues(NewString("a"), NewInt(1))
+	view := tab.View()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			_ = tab.InsertValues(NewString("b"), NewInt(2))
+		}
+	}()
+	for i := 0; i < 100; i++ {
+		if len(view) != 1 || view[0].Values[0].Str() != "a" {
+			t.Fatalf("view changed under inserts: %v", view)
+		}
+	}
+	wg.Wait()
+	_ = append(view, Tuple{Schema: tab.Schema(), Values: []Value{NewString("z"), NewInt(9)}})
+	if got := tab.Row(1).Values[0].Str(); got != "b" {
+		t.Errorf("append to a view overwrote table row 1: %q", got)
+	}
+}

@@ -211,64 +211,78 @@ func (v Value) Truthy() bool {
 // Compare orders two values. NULL sorts first; values of different kinds
 // order by kind; numeric kinds compare numerically across Int/Float.
 // Lists and tuples compare element-wise. The result is -1, 0 or +1.
-func (v Value) Compare(o Value) int {
-	if v.kind == KindNull || o.kind == KindNull {
+func (v Value) Compare(o Value) int { return Compare(&v, &o) }
+
+// Compare is Value.Compare over pointers: it orders two values in place,
+// without copying them, and is the single comparison every ordering in
+// the engine goes through. Two Ints compare exactly; an Int against a
+// Float compares through float64.
+func Compare(a, b *Value) int {
+	if a.kind == KindNull || b.kind == KindNull {
 		switch {
-		case v.kind == o.kind:
+		case a.kind == b.kind:
 			return 0
-		case v.kind == KindNull:
+		case a.kind == KindNull:
 			return -1
 		default:
 			return 1
 		}
+	}
+	if a.kind == KindInt && b.kind == KindInt {
+		return cmpOrdered(a.num, b.num)
 	}
 	numeric := func(k Kind) bool { return k == KindInt || k == KindFloat }
-	if numeric(v.kind) && numeric(o.kind) {
-		a, b := v.Float(), o.Float()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
+	if numeric(a.kind) && numeric(b.kind) {
+		return cmpOrdered(a.Float(), b.Float())
 	}
-	if v.kind != o.kind {
-		if v.kind < o.kind {
+	if a.kind != b.kind {
+		if a.kind < b.kind {
 			return -1
 		}
 		return 1
 	}
-	switch v.kind {
+	switch a.kind {
 	case KindString, KindImage:
-		return strings.Compare(v.str, o.str)
+		return strings.Compare(a.str, b.str)
 	case KindBool:
 		switch {
-		case v.truth == o.truth:
+		case a.truth == b.truth:
 			return 0
-		case !v.truth:
+		case !a.truth:
 			return -1
 		default:
 			return 1
 		}
 	case KindList:
-		for i := 0; i < len(v.list) && i < len(o.list); i++ {
-			if c := v.list[i].Compare(o.list[i]); c != 0 {
+		for i := 0; i < len(a.list) && i < len(b.list); i++ {
+			if c := Compare(&a.list[i], &b.list[i]); c != 0 {
 				return c
 			}
 		}
-		return len(v.list) - len(o.list)
+		return cmpOrdered(len(a.list), len(b.list))
 	case KindTuple:
-		for i := 0; i < len(v.fields) && i < len(o.fields); i++ {
-			if c := strings.Compare(v.fields[i].Name, o.fields[i].Name); c != 0 {
+		for i := 0; i < len(a.fields) && i < len(b.fields); i++ {
+			if c := strings.Compare(a.fields[i].Name, b.fields[i].Name); c != 0 {
 				return c
 			}
-			if c := v.fields[i].Value.Compare(o.fields[i].Value); c != 0 {
+			if c := Compare(&a.fields[i].Value, &b.fields[i].Value); c != 0 {
 				return c
 			}
 		}
-		return len(v.fields) - len(o.fields)
+		return cmpOrdered(len(a.fields), len(b.fields))
+	default:
+		return 0
+	}
+}
+
+// cmpOrdered is cmp.Compare without its NaN ordering: NaN compares equal
+// to everything, as the float comparison always has here.
+func cmpOrdered[T int | int64 | float64](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
 	default:
 		return 0
 	}

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -164,6 +165,11 @@ func TestCompareOrdering(t *testing.T) {
 		{NewList(NewInt(1)), NewList(NewInt(1), NewInt(2)), -1},
 		{NewList(NewInt(2)), NewList(NewInt(1), NewInt(5)), 1},
 		{NewString("x"), NewImage("x"), -1}, // different kinds order by kind
+		// Ints compare exactly, also where float64 cannot tell them apart.
+		{NewInt(1<<53 + 1), NewInt(1 << 53), 1},
+		{NewInt(1 << 53), NewInt(1<<53 + 1), -1},
+		{NewInt(math.MaxInt64), NewInt(math.MaxInt64 - 1), 1},
+		{NewInt(1<<53 + 1), NewFloat(1 << 53), 0}, // mixed kinds compare as float64
 	}
 	for i, c := range cases {
 		got := c.a.Compare(c.b)
