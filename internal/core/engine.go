@@ -71,11 +71,13 @@ type Config struct {
 	// informed estimators, trained models and already-blocked spammers.
 	// Empty means no persistence (seed behavior).
 	StorePath string
-	// MaxInflightHITs gates batch posting: at most this many
-	// scheduler-admitted HITs are in flight at once; further batches
-	// queue in priority / weighted-fair-share order (see WithPriority
-	// and WithWeight) so a burst of concurrent queries degrades
-	// gracefully instead of flooding the marketplace. 0 = unlimited.
+	// MaxInflightHITs gates batch HITs only: at most this many
+	// scheduler-admitted batch HITs are in flight at once; further
+	// batches queue in priority / weighted-fair-share order (see
+	// WithPriority and WithWeight) so a burst of concurrent queries
+	// degrades gracefully instead of flooding the marketplace. Grid,
+	// comparison and grouped HITs post directly, outside the gate, and
+	// do not count against it. 0 = unlimited.
 	MaxInflightHITs int
 	// PlanCacheSize bounds the normalized-SQL plan cache (LRU entries).
 	// 0 means the default (256); negative disables plan caching

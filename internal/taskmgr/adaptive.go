@@ -119,25 +119,23 @@ func (m *Manager) workerPrior(worker string) (acc, weight float64) {
 	return num / weight, weight
 }
 
-// votesByItem rebuilds per-item vote lists (in HIT item order, so fits
-// are deterministic) from the collected per-worker answer sheets,
-// skipping items whose share detached. Called under the stripe lock or
-// after the HIT left the in-flight table.
-func (fl *inflightHIT) votesByItem() (items [][]infer.Vote, keys []string) {
-	items = make([][]infer.Vote, 0, len(fl.hit.Items))
-	keys = make([]string, 0, len(fl.hit.Items))
-	for _, hi := range fl.hit.Items {
-		if _, ok := fl.byKey[hi.Key]; !ok {
-			continue
-		}
+// votesByItem rebuilds per-item vote lists (in item order, so fits are
+// deterministic) from the collected per-worker answer sheets, skipping
+// items whose share detached. Called under the stripe lock or after the
+// HIT left the in-flight table.
+func (fl *flight) votesByItem() (items [][]infer.Vote, keys []string) {
+	live := fl.live()
+	items = make([][]infer.Vote, 0, len(live))
+	keys = make([]string, 0, len(live))
+	for _, it := range live {
 		var votes []infer.Vote
 		for _, wa := range fl.byWorker {
-			if v, ok := wa.Values[hi.Key]; ok {
+			if v, ok := wa.Values[it.key]; ok {
 				votes = append(votes, infer.Vote{Worker: wa.WorkerID, Value: v})
 			}
 		}
 		items = append(items, votes)
-		keys = append(keys, hi.Key)
+		keys = append(keys, it.key)
 	}
 	return items, keys
 }
@@ -146,7 +144,7 @@ func (fl *inflightHIT) votesByItem() (items [][]infer.Vote, keys []string) {
 // reached the stopping target under the HIT's aggregator. Stripe lock
 // held; the EM fit takes repMu inside (stripe → repMu never inverts:
 // reputation paths take repMu alone).
-func (m *Manager) itemsConfident(fl *inflightHIT) bool {
+func (m *Manager) itemsConfident(fl *flight) bool {
 	em, ok := fl.agg.(*infer.EM)
 	if !ok {
 		return true
@@ -172,8 +170,8 @@ func (m *Manager) itemsConfident(fl *inflightHIT) bool {
 // HIT keeps cost == reward × assign, a cancel landing after the commit
 // refunds exactly the one unconsumed extension slot through the normal
 // unconsumed() pro-rata path.
-func (m *Manager) extendInflight(s *flightStripe, hitID string, fl *inflightHIT) {
-	price := budget.Cents(fl.hit.RewardCents)
+func (m *Manager) extendInflight(s *flightStripe, hitID string, fl *flight) {
+	price := budget.Cents(fl.reward)
 	sc := fl.shares[0].scope
 	if err := sc.spend(price); err != nil {
 		// Scope budget exhausted mid-extension: stop here and finalize
@@ -187,7 +185,7 @@ func (m *Manager) extendInflight(s *flightStripe, hitID string, fl *inflightHIT)
 		return
 	}
 	s.mu.Lock()
-	if _, live := s.hits[hitID]; !live {
+	if _, live := s.flights[hitID]; !live {
 		// Cancellation raced the charge; its refund was computed against
 		// the pre-extension assignment count, so this charge comes back
 		// here, in full.
@@ -210,7 +208,7 @@ func (m *Manager) extendInflight(s *flightStripe, hitID string, fl *inflightHIT)
 		m.extendBroken.Store(true)
 		rolledBack := false
 		s.mu.Lock()
-		if _, live := s.hits[hitID]; live {
+		if _, live := s.flights[hitID]; live {
 			fl.needed--
 			fl.assign--
 			fl.cost -= price
@@ -241,17 +239,16 @@ func (m *Manager) extendInflight(s *flightStripe, hitID string, fl *inflightHIT)
 // budget exhausted or extension rejected — and finalizes it with the
 // assignments it already holds. A concurrent cancel may have retired it
 // first; then there is nothing left to do.
-func (m *Manager) finalizeAdaptive(s *flightStripe, hitID string, fl *inflightHIT) {
+func (m *Manager) finalizeAdaptive(s *flightStripe, hitID string, fl *flight) {
 	s.mu.Lock()
-	if _, live := s.hits[hitID]; !live {
+	if _, live := s.flights[hitID]; !live {
 		s.mu.Unlock()
 		return
 	}
-	delete(s.hits, hitID)
+	delete(s.flights, hitID)
 	s.mu.Unlock()
-	fl.unregister(hitID)
-	m.hitRetired(fl)
-	m.finalizeInflight(fl)
+	m.retire(fl)
+	m.finalize(fl)
 }
 
 // noteWorkerQuality folds one fit's per-worker accuracies into the
@@ -263,9 +260,6 @@ func (m *Manager) finalizeAdaptive(s *flightStripe, hitID string, fl *inflightHI
 func (m *Manager) noteWorkerQuality(accs []infer.WorkerAccuracy) {
 	j := m.getJournal()
 	m.repMu.Lock()
-	if m.quality == nil {
-		m.quality = make(map[string]*stats.EWMA)
-	}
 	for _, a := range accs {
 		if a.Worker == "" {
 			continue
@@ -297,9 +291,6 @@ func (m *Manager) RestoreWorkerQuality(worker string, st stats.EWMAState) {
 	}
 	m.repMu.Lock()
 	defer m.repMu.Unlock()
-	if m.quality == nil {
-		m.quality = make(map[string]*stats.EWMA)
-	}
 	e := m.quality[worker]
 	if e == nil {
 		e = stats.NewEWMA(stats.TaskEWMAAlpha)

@@ -181,8 +181,9 @@ func TestAdaptiveExtendChargeRefundedWhenCancelRaces(t *testing.T) {
 	sc.SetBudget(50)
 
 	// The HIT is absent from its stripe: the cancel already retired it.
-	fl := &inflightHIT{
+	fl := &flight{
 		hit:      &hit.HIT{ID: "hit-gone", RewardCents: 1},
+		reward:   1,
 		state:    m.state(def.Name, def),
 		shares:   []hitShare{{scope: sc}},
 		cost:     2,

@@ -3,13 +3,8 @@ package taskmgr
 import (
 	"fmt"
 
-	"repro/internal/budget"
-	"repro/internal/cache"
 	"repro/internal/hit"
 	"repro/internal/qlang"
-	"repro/internal/relation"
-	"repro/internal/stats"
-	"repro/internal/store"
 )
 
 // SubmitGroup posts several *different* boolean tasks about (typically)
@@ -41,224 +36,46 @@ func (m *Manager) SubmitGroup(reqs []Request) error {
 		return nil
 	}
 
-	lead := m.state(reqs[0].Def.Name, reqs[0].Def)
-	base := m.basePolicy()
-	lead.mu.Lock()
-	pol := lead.scopedPolicyLocked(base, scope)
-	lead.mu.Unlock()
-
-	type resolution struct {
-		done func(Outcome)
-		out  Outcome
-	}
-	var resolved []resolution
-	var remaining []Request
+	// Every item's cache/model decision follows the first request's
+	// policy, as do the HIT's price and redundancy.
+	pol := m.state(reqs[0].Def.Name, reqs[0].Def).policyIn(m.basePolicy(), scope, 0)
+	var free []resolution
+	var items []pendingItem
 	for _, r := range reqs {
 		st := m.state(r.Def.Name, r.Def)
 		st.mu.Lock()
 		st.submitted++
 		st.mu.Unlock()
-		if pol.UseCache {
-			if entry, ok := m.cache.Get(cache.NewKey(r.Def.Name, r.Args)); ok && len(entry.Answers) > 0 {
-				st.mu.Lock()
-				st.cacheHits++
-				st.mu.Unlock()
-				out := reduce(r.Def, entry.Answers)
-				out.FromCache = true
-				st.observeSelectivity(out.Value.Truthy(), r.StatSide)
-				resolved = append(resolved, resolution{done: r.Done, out: out})
-				continue
-			}
-		}
-		if pol.UseModel {
-			if tm, ok := m.models.For(r.Def.Name); ok {
-				if v, _, ok := tm.TryAnswer(r.Args); ok {
-					st.mu.Lock()
-					st.modelAnswers++
-					st.mu.Unlock()
-					st.observeSelectivity(v.Truthy(), r.StatSide)
-					resolved = append(resolved, resolution{done: r.Done,
-						out: Outcome{Value: v, Answers: []relation.Value{v}, Agreement: 1, FromModel: true}})
-					continue
-				}
-			}
-		}
-		remaining = append(remaining, r)
-	}
-	if len(remaining) == 0 {
-		for _, r := range resolved {
-			r.done(r.out)
-		}
-		return nil
-	}
-
-	price := m.priceFor(remaining[0].Def, pol)
-	h := &hit.HIT{
-		ID:          m.market.NewHITID(),
-		Task:        remaining[0].Def.Name,
-		Type:        qlang.TaskFilter,
-		Title:       "Answer a few questions",
-		Question:    fmt.Sprintf("Answer the following %d questions about the data shown.", len(remaining)),
-		Response:    qlang.Response{Kind: qlang.ResponseYesNo},
-		RewardCents: price,
-		Assignments: pol.Assignments,
-	}
-	byKey := make(map[string]pendingItem, len(remaining))
-	keys := make([]string, 0, len(remaining))
-	for _, r := range remaining {
-		key := m.newKey()
-		prompt := r.Prompt
-		if prompt == "" {
-			prompt = hit.RenderText(r.Def.Text, r.Def.TextArgs, r.Def.Params, r.Args)
-		}
-		h.Items = append(h.Items, hit.Item{Key: key, Args: r.Args, Task: r.Def.Name, Prompt: prompt})
-		h.GroupKeys = append(h.GroupKeys, r.Def.Name)
-		byKey[key] = pendingItem{key: key, args: r.Args, def: r.Def, side: r.StatSide, done: r.Done, span: r.Trace}
-		keys = append(keys, key)
-	}
-
-	cost := budget.Cents(price * int64(pol.Assignments))
-	if err := scope.spend(cost); err != nil {
-		for _, r := range resolved {
-			r.done(r.out)
-		}
-		for _, r := range remaining {
-			r.Done(Outcome{Err: fmt.Errorf("taskmgr: group: %w", err)})
-		}
-		return nil
-	}
-	if err := m.account.Spend(cost); err != nil {
-		scope.refund(cost)
-		for _, r := range resolved {
-			r.done(r.out)
-		}
-		for _, r := range remaining {
-			r.Done(Outcome{Err: fmt.Errorf("taskmgr: group: %w", err)})
-		}
-		return nil
-	}
-	// Attribute cost and counters to each member task evenly enough for
-	// the dashboard: the HIT is counted once under the lead task, the
-	// questions under their own tasks.
-	lead = m.state(remaining[0].Def.Name, remaining[0].Def)
-	lead.mu.Lock()
-	lead.hitsPosted++
-	lead.spent += cost
-	lead.mu.Unlock()
-	for _, r := range remaining {
-		st := m.state(r.Def.Name, r.Def)
-		st.mu.Lock()
-		st.questionsAsked++
-		st.mu.Unlock()
-	}
-
-	fl := &inflightHIT{
-		hit:      h,
-		state:    lead,
-		shares:   []hitShare{{scope: scope, keys: keys, cost: cost}},
-		cost:     cost,
-		byKey:    byKey,
-		answers:  make(map[string][]relation.Value, len(remaining)),
-		needed:   pol.Assignments,
-		assign:   pol.Assignments,
-		postedAt: m.market.Clock().Now(),
-		backend:  m.servingBackend(remaining[0].Def),
-		group:    true,
-	}
-	if sp := m.traceDirectHIT(scope, h.ID, h.Task, fl.backend, cost); sp != nil {
-		sp.Annotate("grouped", fmt.Sprintf("%d", len(remaining)))
-		fl.span = sp
-		items := make([]pendingItem, 0, len(keys))
-		for _, key := range keys {
-			items = append(items, byKey[key])
-		}
-		attributeOps(fl, items, cost)
-	}
-	s := m.flights.stripeFor(h.ID)
-	s.mu.Lock()
-	if s.hits == nil {
-		s.hits = make(map[string]*inflightHIT)
-	}
-	s.hits[h.ID] = fl
-	s.mu.Unlock()
-	if err := m.market.Post(h, m.onAssignment); err != nil {
-		s.mu.Lock()
-		delete(s.hits, h.ID)
-		s.mu.Unlock()
-		m.traceDirectGone(fl.span, err.Error())
-		m.account.Refund(cost)
-		scope.refund(cost)
-		for _, r := range resolved {
-			r.done(r.out)
-		}
-		for _, r := range remaining {
-			r.Done(Outcome{Err: err})
-		}
-		return nil
-	}
-	if cause := scope.registerHIT(h.ID); cause != nil {
-		m.cancelScopeHIT(h.ID, scope, cause)
-	}
-	for _, r := range resolved {
-		r.done(r.out)
-	}
-	return nil
-}
-
-// finalizeGroup resolves a grouped HIT in item order, attributing
-// selectivity, caching and training per item task rather than per HIT
-// task. No manager lock is held while it runs.
-func (m *Manager) finalizeGroup(fl *inflightHIT) {
-	latencyMin := (m.market.Clock().Now() - fl.postedAt).Minutes()
-	fl.state.latency.Observe(latencyMin)
-	m.traceHITDone(fl, latencyMin, nil)
-	j := m.getJournal()
-	if j != nil {
-		j.Append(store.Record{Kind: store.KindLatency, Task: fl.hit.Task, X: latencyMin})
-	}
-	base := m.basePolicy()
-	fl.state.mu.Lock()
-	pol := fl.state.effectivePolicyLocked(base)
-	fl.state.mu.Unlock()
-
-	type resolution struct {
-		done func(Outcome)
-		out  Outcome
-	}
-	var resolved []resolution
-	var agreeSum float64
-	var agreeN int
-	for _, hi := range fl.hit.Items {
-		item, ok := fl.byKey[hi.Key]
-		if !ok {
+		if out, ok := m.answerFree(st, pol, r.Def, r.Args, r.StatSide, r.Trace); ok {
+			free = append(free, resolution{done: r.Done, out: out})
 			continue
 		}
-		st := m.state(item.def.Name, item.def)
-		answers := fl.answers[hi.Key]
-		b, conf := stats.MajorityBool(answers)
-		out := Outcome{Value: relation.NewBool(b), Answers: answers, Agreement: conf}
-		st.agreement.Observe(conf)
-		agreeSum += conf
-		agreeN++
-		st.observeSelectivity(b, item.side)
-		m.noteWorkerVotes(fl.byWorker, hi.Key, b)
-		if pol.UseCache {
-			m.cache.Put(cache.NewKey(item.def.Name, item.args), cache.Entry{Answers: answers})
-		}
-		if pol.TrainModel {
-			if tm, ok := m.models.For(item.def.Name); ok {
-				tm.Train(item.args, b)
+		items = append(items, pendingItem{key: m.newKey(), args: r.Args, prompt: r.Prompt, def: r.Def,
+			side: r.StatSide, scope: scope, done: r.Done, span: r.Trace})
+	}
+	if len(items) == 0 {
+		resolveAll(free)
+		return nil
+	}
+
+	// The HIT belongs to the first task still asked (the lead): it
+	// counts the HIT, its cost and latency, and sets the finalize-time
+	// policy; each question counts under its own task.
+	lead := items[0].def
+	fl := m.newFlight(m.state(lead.Name, lead), lead, pol, pol.Assignments, items)
+	m.launch(fl, free, func(items []pendingItem) *hit.HIT {
+		h := &hit.HIT{Task: lead.Name, Type: qlang.TaskFilter, Title: "Answer a few questions",
+			Question: fmt.Sprintf("Answer the following %d questions about the data shown.", len(items)),
+			Response: qlang.Response{Kind: qlang.ResponseYesNo}}
+		for _, it := range items {
+			prompt := it.prompt
+			if prompt == "" {
+				prompt = hit.RenderText(it.def.Text, it.def.TextArgs, it.def.Params, it.args)
 			}
+			h.Items = append(h.Items, hit.Item{Key: it.key, Args: it.args, Task: it.def.Name, Prompt: prompt})
+			h.GroupKeys = append(h.GroupKeys, it.def.Name)
 		}
-		if j != nil {
-			m.journalItem(j, pol, item.def, item.args, item.side, answers, out)
-		}
-		resolved = append(resolved, resolution{done: item.done, out: out})
-	}
-	if agreeN > 0 {
-		m.observeBackend(fl.backend, fl.hit.Type, fl.hit.RewardCents, latencyMin, agreeSum/float64(agreeN))
-	}
-	for _, r := range resolved {
-		r.done(r.out)
-	}
+		return h
+	})
+	return nil
 }

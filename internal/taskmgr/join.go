@@ -3,19 +3,10 @@ package taskmgr
 import (
 	"fmt"
 
-	"repro/internal/budget"
-	"repro/internal/cache"
 	"repro/internal/hit"
-	"repro/internal/mturk"
-	"repro/internal/obs"
 	"repro/internal/qlang"
 	"repro/internal/relation"
-	"repro/internal/stats"
-	"repro/internal/store"
 )
-
-// hitPair is one unresolved cell of a join grid.
-type hitPair struct{ l, r JoinItem }
 
 // JoinItem is one row shown in a column of the two-column join interface
 // (Figure 3). Key is the operator's routing key; Args the rendered
@@ -53,291 +44,75 @@ func (m *Manager) JoinBlockIn(scope *Scope, def *qlang.TaskDef, left, right []Jo
 		return
 	}
 	st := m.state(def.Name, def)
-	base := m.basePolicy()
-	st.mu.Lock()
-	pol := st.scopedPolicyLocked(base, scope)
-	st.submitted += int64(len(left) * len(right))
-	st.mu.Unlock()
-
+	pol := st.policyIn(m.basePolicy(), scope, len(left)*len(right))
 	pairArgs := func(l, r JoinItem) []relation.Value {
 		return append(append([]relation.Value{}, l.Args...), r.Args...)
 	}
-
-	// Resolve what we can from cache and model.
-	var unresolved []hitPair
-	type resolution struct {
-		key string
-		out Outcome
+	pairDone := func(key string) func(Outcome) {
+		return func(out Outcome) { done(key, out) }
 	}
-	var resolved []resolution
+
+	// Resolve what we can from cache and model; the grid shrinks to the
+	// rows and columns (in first-seen order) still needed. Every pair of
+	// the shrunk grid is asked (and its fresh answer cached), row-major;
+	// only the unresolved ones call back.
+	var free []resolution
+	var neededLeft, neededRight []JoinItem
+	seenL, seenR, need := make(map[string]bool), make(map[string]bool), make(map[string]bool)
 	for _, l := range left {
 		for _, r := range right {
 			key := hit.PairKey(l.Key, r.Key)
-			args := pairArgs(l, r)
-			if pol.UseCache {
-				if entry, ok := m.cache.Get(cache.NewKey(def.Name, args)); ok && len(entry.Answers) > 0 {
-					st.mu.Lock()
-					st.cacheHits++
-					st.mu.Unlock()
-					out := reduce(def, entry.Answers)
-					out.FromCache = true
-					st.selectivity.Observe(out.Value.Truthy())
-					resolved = append(resolved, resolution{key: key, out: out})
-					continue
-				}
+			if out, ok := m.answerFree(st, pol, def, pairArgs(l, r), "", nil); ok {
+				free = append(free, resolution{done: pairDone(key), out: out})
+				continue
 			}
-			if pol.UseModel {
-				if tm, ok := m.models.For(def.Name); ok {
-					if v, _, ok := tm.TryAnswer(args); ok {
-						st.mu.Lock()
-						st.modelAnswers++
-						st.mu.Unlock()
-						st.selectivity.Observe(v.Truthy())
-						resolved = append(resolved, resolution{key: key,
-							out: Outcome{Value: v, Answers: []relation.Value{v}, Agreement: 1, FromModel: true}})
-						continue
-					}
-				}
+			need[key] = true
+			if !seenL[l.Key] {
+				seenL[l.Key] = true
+				neededLeft = append(neededLeft, l)
 			}
-			unresolved = append(unresolved, hitPair{l, r})
+			if !seenR[r.Key] {
+				seenR[r.Key] = true
+				neededRight = append(neededRight, r)
+			}
 		}
 	}
-
-	if len(unresolved) == 0 {
-		for _, r := range resolved {
-			done(r.key, r.out)
-		}
+	if len(need) == 0 {
+		resolveAll(free)
 		return
 	}
-
-	// Shrink the grid to only the rows/columns still needed.
-	neededLeft := dedupeJoinItems(unresolved, true)
-	neededRight := dedupeJoinItems(unresolved, false)
-	needPair := make(map[string]bool, len(unresolved))
-	for _, p := range unresolved {
-		needPair[hit.PairKey(p.l.Key, p.r.Key)] = true
-	}
-
-	price := m.priceFor(def, pol)
-	h := &hit.HIT{
-		ID:          m.market.NewHITID(),
-		Task:        def.Name,
-		Type:        def.Type,
-		Title:       def.Name,
-		Question:    hit.RenderText(def.Text, def.TextArgs, def.Params, nil),
-		Response:    joinResponse(def),
-		RewardCents: price,
-		Assignments: pol.Assignments,
-	}
-	if h.Question == "" {
-		h.Question = "Match the items in the left column with the items in the right column."
-	}
-	for _, l := range neededLeft {
-		h.Left = append(h.Left, hit.Item{Key: l.Key, Args: l.Args})
-	}
-	for _, r := range neededRight {
-		h.Right = append(h.Right, hit.Item{Key: r.Key, Args: r.Args})
-	}
-
-	cost := budget.Cents(price * int64(pol.Assignments))
-	if err := scope.spend(cost); err != nil {
-		for _, r := range resolved {
-			done(r.key, r.out)
-		}
-		for _, p := range unresolved {
-			done(hit.PairKey(p.l.Key, p.r.Key), Outcome{Err: fmt.Errorf("taskmgr: %s: %w", def.Name, err)})
-		}
-		return
-	}
-	if err := m.account.Spend(cost); err != nil {
-		scope.refund(cost)
-		for _, r := range resolved {
-			done(r.key, r.out)
-		}
-		for _, p := range unresolved {
-			done(hit.PairKey(p.l.Key, p.r.Key), Outcome{Err: fmt.Errorf("taskmgr: %s: %w", def.Name, err)})
-		}
-		return
-	}
-	st.mu.Lock()
-	st.spent += cost
-	st.hitsPosted++
-	st.questionsAsked += int64(len(neededLeft) * len(neededRight))
-	st.mu.Unlock()
-
-	// order records every grid pair in row-major order, so finalization
-	// resolves pairs identically on every run (map iteration would not).
-	pairItems := make(map[string]pendingItem)
-	order := make([]string, 0, len(neededLeft)*len(neededRight))
+	items := make([]pendingItem, 0, len(neededLeft)*len(neededRight))
 	for _, l := range neededLeft {
 		for _, r := range neededRight {
-			key := hit.PairKey(l.Key, r.Key)
-			pairItems[key] = pendingItem{key: key, args: pairArgs(l, r), def: def}
-			order = append(order, key)
-		}
-	}
-	fl := &joinInflight{
-		state:    st,
-		def:      def,
-		scope:    scope,
-		cost:     cost,
-		items:    pairItems,
-		order:    order,
-		need:     needPair,
-		answers:  make(map[string][]relation.Value),
-		needed:   pol.Assignments,
-		postedAt: m.market.Clock().Now(),
-		backend:  m.servingBackend(def),
-		reward:   price,
-		done:     done,
-	}
-	fl.span = m.traceDirectHIT(scope, h.ID, def.Name, fl.backend, cost)
-	fl.span.Annotate("grid", fmt.Sprintf("%dx%d", len(neededLeft), len(neededRight)))
-	s := m.flights.stripeFor(h.ID)
-	s.mu.Lock()
-	if s.joins == nil {
-		s.joins = make(map[string]*joinInflight)
-	}
-	s.joins[h.ID] = fl
-	s.mu.Unlock()
-	if err := m.market.Post(h, m.onJoinAssignment); err != nil {
-		s.mu.Lock()
-		delete(s.joins, h.ID)
-		s.mu.Unlock()
-		m.traceDirectGone(fl.span, err.Error())
-		m.account.Refund(cost)
-		scope.refund(cost)
-		for _, r := range resolved {
-			done(r.key, r.out)
-		}
-		for _, p := range unresolved {
-			done(hit.PairKey(p.l.Key, p.r.Key), Outcome{Err: err})
-		}
-		return
-	}
-	if cause := scope.registerHIT(h.ID); cause != nil {
-		m.cancelScopeHIT(h.ID, scope, cause)
-	}
-	for _, r := range resolved {
-		done(r.key, r.out)
-	}
-}
-
-type joinInflight struct {
-	state    *taskState
-	def      *qlang.TaskDef
-	scope    *Scope                 // owning query scope (nil = unscoped)
-	cost     budget.Cents           // charged at post time
-	items    map[string]pendingItem // every grid pair, keyed by pair key
-	order    []string               // pair keys in row-major grid order
-	need     map[string]bool        // pairs the caller is waiting on
-	answers  map[string][]relation.Value
-	byWorker []hit.Answers
-	received int
-	needed   int
-	postedAt mturk.VirtualTime
-	backend  string // serving backend name, recorded at post time
-	reward   int64  // per-assignment price actually charged
-	done     func(string, Outcome)
-	span     *obs.Span // HIT trace span (nil = tracing off)
-}
-
-func (m *Manager) onJoinAssignment(res mturk.AssignmentResult) {
-	s := m.flights.stripeFor(res.HITID)
-	s.mu.Lock()
-	fl, ok := s.joins[res.HITID]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	for key, v := range res.Answers.Values {
-		fl.answers[key] = append(fl.answers[key], v)
-	}
-	fl.byWorker = append(fl.byWorker, res.Answers)
-	fl.received++
-	m.traceDirectAssignment(fl.span, fl.def.Name, res.Answers.WorkerID)
-	if fl.received < fl.needed {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.joins, res.HITID)
-	s.mu.Unlock()
-	fl.scope.unregisterHIT(res.HITID)
-	m.finalizeJoin(fl)
-}
-
-// finalizeJoin resolves every pair of a completed (or partially failed)
-// join-grid HIT in grid order. No manager lock is held while it runs.
-func (m *Manager) finalizeJoin(fl *joinInflight) {
-	st := fl.state
-	latencyMin := (m.market.Clock().Now() - fl.postedAt).Minutes()
-	st.latency.Observe(latencyMin)
-	m.traceDirectDone(fl.span, fl.def.Name, fl.backend, latencyMin)
-	j := m.getJournal()
-	if j != nil {
-		j.Append(store.Record{Kind: store.KindLatency, Task: fl.def.Name, X: latencyMin})
-	}
-	base := m.basePolicy()
-	st.mu.Lock()
-	pol := st.effectivePolicyLocked(base)
-	st.mu.Unlock()
-
-	type resolution struct {
-		key string
-		out Outcome
-	}
-	var resolved []resolution
-	var agreeSum float64
-	var agreeN int
-	for _, key := range fl.order {
-		item := fl.items[key]
-		answers := fl.answers[key]
-		b, conf := stats.MajorityBool(answers)
-		out := Outcome{Value: relation.NewBool(b), Answers: answers, Agreement: conf}
-		st.agreement.Observe(conf)
-		agreeSum += conf
-		agreeN++
-		st.selectivity.Observe(b)
-		m.noteWorkerVotes(fl.byWorker, key, b)
-		if pol.UseCache {
-			m.cache.Put(cache.NewKey(fl.def.Name, item.args), cache.Entry{Answers: answers})
-		}
-		if pol.TrainModel {
-			if tm, ok := m.models.For(fl.def.Name); ok {
-				tm.Train(item.args, b)
+			it := pendingItem{key: hit.PairKey(l.Key, r.Key), args: pairArgs(l, r), def: def, scope: scope}
+			if need[it.key] {
+				it.done = pairDone(it.key)
 			}
-		}
-		if j != nil {
-			m.journalItem(j, pol, fl.def, item.args, "", answers, out)
-		}
-		if fl.need[key] {
-			resolved = append(resolved, resolution{key: key, out: out})
+			items = append(items, it)
 		}
 	}
-	if agreeN > 0 {
-		m.observeBackend(fl.backend, fl.def.Type, fl.reward, latencyMin, agreeSum/float64(agreeN))
-	}
-	for _, r := range resolved {
-		fl.done(r.key, r.out)
-	}
+	m.launch(m.newFlight(st, def, pol, pol.Assignments, items), free, func([]pendingItem) *hit.HIT {
+		h := taskHIT(def, "Match the items in the left column with the items in the right column.")
+		h.Response = joinResponse(def)
+		for _, l := range neededLeft {
+			h.Left = append(h.Left, hit.Item{Key: l.Key, Args: l.Args})
+		}
+		for _, r := range neededRight {
+			h.Right = append(h.Right, hit.Item{Key: r.Key, Args: r.Args})
+		}
+		return h
+	})
 }
 
-// dedupeJoinItems extracts the distinct left (or right) items of the
-// unresolved pairs, preserving first-seen order.
-func dedupeJoinItems(pairs []hitPair, left bool) []JoinItem {
-	seen := make(map[string]bool)
-	var out []JoinItem
-	for _, p := range pairs {
-		it := p.r
-		if left {
-			it = p.l
-		}
-		if !seen[it.Key] {
-			seen[it.Key] = true
-			out = append(out, it)
-		}
+// taskHIT starts a whole-group HIT (grid or comparison) of def's task:
+// its rendered text, or fallback when the definition has none.
+func taskHIT(def *qlang.TaskDef, fallback string) *hit.HIT {
+	h := &hit.HIT{Task: def.Name, Type: def.Type, Title: def.Name,
+		Question: hit.RenderText(def.Text, def.TextArgs, def.Params, nil)}
+	if h.Question == "" {
+		h.Question = fallback
 	}
-	return out
+	return h
 }
 
 // joinResponse derives the JoinColumns response for a join task,

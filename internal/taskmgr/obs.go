@@ -4,7 +4,7 @@ package taskmgr
 // batching/posting/finalization paths funnels through the helpers here,
 // all of which collapse to a nil check when no tracer is installed:
 // the manager holds the tracer in an atomic pointer (the journal
-// pattern), spans ride on pendingItem/inflightHIT fields that stay nil
+// pattern), spans ride on pendingItem/flight fields that stay nil
 // when tracing is off, and every obs call is nil-receiver safe. The
 // disabled path therefore costs one atomic load per event site and
 // zero allocations — and because spans never schedule clock events or
@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/infer"
-	"repro/internal/mturk"
 	"repro/internal/obs"
 )
 
@@ -33,7 +32,7 @@ func (m *Manager) getObs() *obs.Tracer { return m.tracer.Load() }
 func (m *Manager) obsRegistry() *obs.Registry { return m.getObs().Registry() }
 
 // SetSpan attaches the owning query's trace span to the scope: batch
-// spans parent under it and Cancel closes the whole tree.
+// and HIT spans parent under it and Cancel closes the whole tree.
 func (s *Scope) SetSpan(sp *obs.Span) {
 	if s == nil || sp == nil {
 		return
@@ -50,51 +49,69 @@ func (s *Scope) Span() *obs.Span {
 	return s.span.Load()
 }
 
-// traceBatchSpans opens the batch → hit span pair for one compiled
-// batch HIT and attributes it to each submitting operator's span. It
-// runs before the in-flight entry becomes visible to completions, so
-// onAssignment always observes fl.span fully built. The batch span is
-// backdated to queuedAt — its duration is the admission wait — and
-// closed at post time; the HIT span stays open until the HIT retires.
-func (m *Manager) traceBatchSpans(fl *inflightHIT, live []pendingItem, pol Policy, queuedAt mturk.VirtualTime) {
+// traceLaunch opens a charged HIT's span before the flight becomes
+// visible to completions, so onAssignment always observes fl.span fully
+// built, and attributes the HIT to each submitting operator's span.
+// Batch HITs get a batch → hit span pair: the batch span is backdated to
+// the admission enqueue time — its duration is the admission wait — and
+// closed at post time. The other kinds hang the HIT span directly under
+// the query span, annotated with their shape. The HIT span stays open
+// until the HIT retires.
+func (m *Manager) traceLaunch(fl *flight) {
 	tr := m.getObs()
 	if tr == nil {
 		return
 	}
+	under := func(parent *obs.Span, kind obs.Kind, name string) *obs.Span {
+		if parent != nil {
+			return parent.Child(kind, name)
+		}
+		return tr.StartRoot(kind, name)
+	}
+	parent := fl.shares[0].scope.Span()
 	var bs *obs.Span
-	if parent := fl.shares[0].scope.Span(); parent != nil {
-		bs = parent.Child(obs.KindBatch, fl.hit.Task)
-	} else {
-		bs = tr.StartRoot(obs.KindBatch, fl.hit.Task)
+	if fl.admitted {
+		bs = under(parent, obs.KindBatch, fl.hit.Task)
+		if fl.queuedAt > 0 && fl.queuedAt < bs.Start {
+			bs.Start = fl.queuedAt
+		}
+		bs.Annotate("fill", fmt.Sprintf("%d/%d", len(fl.items), fl.batchSize))
+		if len(fl.shares) > 1 {
+			bs.Annotate("shared_scopes", strconv.Itoa(len(fl.shares)))
+		}
+		if fl.adaptive {
+			bs.Annotate("adaptive", fmt.Sprintf("min=%d cap=%d", fl.assign, fl.capA))
+		}
+		parent = bs
 	}
-	if queuedAt > 0 && queuedAt < bs.Start {
-		bs.Start = queuedAt
-	}
-	bs.Annotate("fill", fmt.Sprintf("%d/%d", len(live), pol.BatchSize))
-	if len(fl.shares) > 1 {
-		bs.Annotate("shared_scopes", strconv.Itoa(len(fl.shares)))
-	}
-	if fl.adaptive {
-		bs.Annotate("adaptive", fmt.Sprintf("min=%d cap=%d", fl.assign, fl.capA))
-	}
-	hs := bs.Child(obs.KindHIT, fl.hit.ID)
+	hs := under(parent, obs.KindHIT, fl.hit.ID)
+	hs.Annotate("task", fl.hit.Task)
 	hs.Annotate("backend", fl.backend)
+	switch {
+	case fl.admitted:
+	case fl.ranked != nil:
+		hs.Annotate("group_size", strconv.Itoa(len(fl.items)))
+	case len(fl.hit.Left) > 0:
+		hs.Annotate("grid", fmt.Sprintf("%dx%d", len(fl.hit.Left), len(fl.hit.Right)))
+	default:
+		hs.Annotate("grouped", strconv.Itoa(len(fl.items)))
+	}
 	hs.AddHITs(1)
 	hs.AddCost(int64(fl.cost))
 	bs.End()
 	fl.span = hs
-	attributeOps(fl, live, fl.cost)
+	fl.opSpans = attributeOps(fl.items, fl.cost)
 }
 
 // attributeOps fans one HIT's posting out to the distinct submitting
 // operator spans: each gets the HIT counted once and its item-count
 // share of the cost (largest-remainder split, so shares sum exactly to
-// the charge).
-func attributeOps(fl *inflightHIT, live []pendingItem, cost budget.Cents) {
+// the charge). It returns those spans.
+func attributeOps(items []pendingItem, cost budget.Cents) []*obs.Span {
 	var ops []*obs.Span
 	var counts []int
 	idx := make(map[*obs.Span]int, 1)
-	for _, it := range live {
+	for _, it := range items {
 		if it.span == nil {
 			continue
 		}
@@ -107,20 +124,18 @@ func attributeOps(fl *inflightHIT, live []pendingItem, cost budget.Cents) {
 		}
 		counts[i]++
 	}
-	if len(ops) == 0 {
-		return
+	for i, c := range splitCost(cost, counts) {
+		ops[i].AddHITs(1)
+		ops[i].AddCost(int64(c))
 	}
-	shares := splitCost(cost, counts)
-	for i, op := range ops {
-		op.AddHITs(1)
-		op.AddCost(int64(shares[i]))
-	}
-	fl.opSpans = ops
+	return ops
 }
 
-// traceBatchMetrics records the posting-time metrics for a batch HIT
-// that actually reached the marketplace.
-func (m *Manager) traceBatchMetrics(fl *inflightHIT, live []pendingItem, pol Policy, queuedAt mturk.VirtualTime) {
+// tracePosted records the posting-time metrics of a HIT that actually
+// reached the marketplace: HIT and cost counters (per task, and per
+// labeled scope so a scope's series sums to its spend), the in-flight
+// gauge, and for batch HITs the admission wait and fill ratio.
+func (m *Manager) tracePosted(fl *flight) {
 	if fl.span == nil {
 		return
 	}
@@ -129,37 +144,55 @@ func (m *Manager) traceBatchMetrics(fl *inflightHIT, live []pendingItem, pol Pol
 		return
 	}
 	task := fl.hit.Task
-	reg.Counter(obs.MetricBatchesPosted, obs.L("task", task)).Add(1)
 	reg.Counter(obs.MetricHITsPosted, obs.L("task", task), obs.L("backend", fl.backend)).Add(1)
-	reg.Counter(obs.MetricCostCents, obs.L("task", task)).Add(int64(fl.cost))
-	for i := range fl.shares {
-		if label := fl.shares[i].scope.labelNow(); label != "" {
-			reg.Counter(obs.MetricCostCents, obs.L("task", task), obs.L("scope", label)).Add(int64(fl.shares[i].cost))
-		}
-	}
+	m.traceCost(fl, fl.shares, fl.cost)
 	reg.Gauge(obs.MetricInflightHITs).Add(1)
-	if queuedAt > 0 {
+	if !fl.admitted {
+		return
+	}
+	reg.Counter(obs.MetricBatchesPosted, obs.L("task", task)).Add(1)
+	if fl.queuedAt > 0 {
 		reg.Histogram(obs.MetricAdmissionWait, obs.MinuteBuckets, obs.L("task", task)).
-			Observe((fl.postedAt - queuedAt).Minutes())
+			Observe((fl.postedAt - fl.queuedAt).Minutes())
 	}
 	reg.Histogram(obs.MetricBatchFillRatio, obs.RatioBuckets, obs.L("task", task)).
-		Observe(float64(len(live)) / float64(pol.BatchSize))
+		Observe(float64(len(fl.items)) / float64(fl.batchSize))
 }
 
-// traceHITPostFailed closes the spans of a batch HIT the marketplace
-// refused (everything was refunded; no gauge was ever incremented).
-func (m *Manager) traceHITPostFailed(fl *inflightHIT, err error) {
+// traceCost counts a charge on the task's cost series and on the series
+// of each labeled scope among the shares that paid it.
+func (m *Manager) traceCost(fl *flight, shares []hitShare, cost budget.Cents) {
+	reg := m.obsRegistry()
+	if reg == nil {
+		return
+	}
+	task := fl.hit.Task
+	reg.Counter(obs.MetricCostCents, obs.L("task", task)).Add(int64(cost))
+	for i := range shares {
+		if label := shares[i].scope.labelNow(); label != "" {
+			reg.Counter(obs.MetricCostCents, obs.L("task", task), obs.L("scope", label)).Add(int64(shares[i].cost))
+		}
+	}
+}
+
+// traceHITFailed closes the span of a HIT that retired without
+// answers: refused by the marketplace (never posted, so the in-flight
+// gauge was never raised) or starved of assignments.
+func (m *Manager) traceHITFailed(fl *flight, err error, posted bool) {
 	if fl.span == nil {
 		return
 	}
 	fl.span.Annotate("error", err.Error())
 	fl.span.End()
+	if reg := m.obsRegistry(); reg != nil && posted {
+		reg.Gauge(obs.MetricInflightHITs).Add(-1)
+	}
 }
 
 // traceAssignment records one received assignment as an instantaneous
 // child span. Called with the HIT's stripe lock held; span mutexes
 // nest under stripe locks everywhere.
-func (m *Manager) traceAssignment(fl *inflightHIT, workerID string) {
+func (m *Manager) traceAssignment(fl *flight, workerID string) {
 	if fl.span == nil {
 		return
 	}
@@ -174,7 +207,7 @@ func (m *Manager) traceAssignment(fl *inflightHIT, workerID string) {
 // instantaneous child span carrying the price, remembered (under the
 // stripe lock) so a later cancellation can annotate the refunded
 // remainder onto the very spans that bought the slots.
-func (m *Manager) traceExtension(s *flightStripe, hitID string, fl *inflightHIT, price budget.Cents) {
+func (m *Manager) traceExtension(s *flightStripe, hitID string, fl *flight, price budget.Cents) {
 	if fl.span == nil {
 		return
 	}
@@ -192,7 +225,7 @@ func (m *Manager) traceExtension(s *flightStripe, hitID string, fl *inflightHIT,
 	}
 	if reg := m.obsRegistry(); reg != nil {
 		reg.Counter(obs.MetricExtensions, obs.L("task", fl.hit.Task)).Add(1)
-		reg.Counter(obs.MetricCostCents, obs.L("task", fl.hit.Task)).Add(int64(price))
+		m.traceCost(fl, []hitShare{{scope: fl.shares[0].scope, cost: price}}, price)
 	}
 }
 
@@ -200,7 +233,7 @@ func (m *Manager) traceExtension(s *flightStripe, hitID string, fl *inflightHIT,
 // to the submitting operators, inference posteriors (when an EM fit
 // resolved the answers) are annotated in HIT item order, and the
 // round-trip and extension-depth distributions observe the completion.
-func (m *Manager) traceHITDone(fl *inflightHIT, latencyMin float64, posts map[string]infer.Posterior) {
+func (m *Manager) traceHITDone(fl *flight, latencyMin float64, posts map[string]infer.Posterior) {
 	sp := fl.span
 	if sp == nil {
 		return
@@ -227,26 +260,13 @@ func (m *Manager) traceHITDone(fl *inflightHIT, latencyMin float64, posts map[st
 	}
 }
 
-// traceHITAbandoned closes the span of a HIT that retired with zero
-// assignments (terminal assignment failure).
-func (m *Manager) traceHITAbandoned(fl *inflightHIT, err error) {
-	if fl.span == nil {
-		return
-	}
-	fl.span.Annotate("error", err.Error())
-	fl.span.End()
-	if reg := m.obsRegistry(); reg != nil {
-		reg.Gauge(obs.MetricInflightHITs).Add(-1)
-	}
-}
-
 // traceHITCanceled records a cancellation's refund on the HIT span and
 // annotates the unconsumed extension spans with the remainder each gave
 // back — the pro-rata refund walks the last-purchased slots first, the
 // ones that cannot have completed yet. expired marks full expiry (the
 // span ends and the in-flight gauge drops); a shared-HIT detach leaves
 // the span open for the surviving participants.
-func (m *Manager) traceHITCanceled(fl *inflightHIT, refund budget.Cents, expired bool) {
+func (m *Manager) traceHITCanceled(fl *flight, refund budget.Cents, expired bool) {
 	sp := fl.span
 	if sp == nil {
 		return
@@ -269,70 +289,5 @@ func (m *Manager) traceHITCanceled(fl *inflightHIT, refund budget.Cents, expired
 		if reg := m.obsRegistry(); reg != nil {
 			reg.Gauge(obs.MetricInflightHITs).Add(-1)
 		}
-	}
-}
-
-// traceDirectHIT opens a HIT span for the single-post paths — grouped,
-// join-grid and comparison HITs — parented to the scope's query span
-// (or a synthetic root when unscoped), and records the posting metrics.
-func (m *Manager) traceDirectHIT(scope *Scope, hitID, task, backendName string, cost budget.Cents) *obs.Span {
-	tr := m.getObs()
-	if tr == nil {
-		return nil
-	}
-	var sp *obs.Span
-	if parent := scope.Span(); parent != nil {
-		sp = parent.Child(obs.KindHIT, hitID)
-	} else {
-		sp = tr.StartRoot(obs.KindHIT, hitID)
-	}
-	sp.Annotate("task", task)
-	sp.Annotate("backend", backendName)
-	sp.AddHITs(1)
-	sp.AddCost(int64(cost))
-	if reg := tr.Registry(); reg != nil {
-		reg.Counter(obs.MetricHITsPosted, obs.L("task", task), obs.L("backend", backendName)).Add(1)
-		reg.Counter(obs.MetricCostCents, obs.L("task", task)).Add(int64(cost))
-		reg.Gauge(obs.MetricInflightHITs).Add(1)
-	}
-	return sp
-}
-
-// traceDirectAssignment mirrors traceAssignment for the join/rank
-// in-flight types. Called with the stripe lock held.
-func (m *Manager) traceDirectAssignment(sp *obs.Span, task, workerID string) {
-	if sp == nil {
-		return
-	}
-	sp.Child(obs.KindAssignment, workerID).End()
-	sp.AddAssignments(1)
-	if reg := m.obsRegistry(); reg != nil {
-		reg.Counter(obs.MetricAssignments, obs.L("task", task)).Add(1)
-	}
-}
-
-// traceDirectDone closes a join/rank HIT span at finalization.
-func (m *Manager) traceDirectDone(sp *obs.Span, task, backendName string, latencyMin float64) {
-	if sp == nil {
-		return
-	}
-	sp.End()
-	if reg := m.obsRegistry(); reg != nil {
-		reg.Histogram(obs.MetricHITRoundTrip, obs.MinuteBuckets,
-			obs.L("task", task), obs.L("backend", backendName)).Observe(latencyMin)
-		reg.Gauge(obs.MetricInflightHITs).Add(-1)
-	}
-}
-
-// traceDirectGone closes a join/rank HIT span that is retiring without
-// finalizing — canceled by its scope or starved of assignments.
-func (m *Manager) traceDirectGone(sp *obs.Span, reason string) {
-	if sp == nil {
-		return
-	}
-	sp.Annotate("error", reason)
-	sp.End()
-	if reg := m.obsRegistry(); reg != nil {
-		reg.Gauge(obs.MetricInflightHITs).Add(-1)
 	}
 }

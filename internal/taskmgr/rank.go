@@ -3,10 +3,7 @@ package taskmgr
 import (
 	"fmt"
 
-	"repro/internal/budget"
 	"repro/internal/hit"
-	"repro/internal/mturk"
-	"repro/internal/obs"
 	"repro/internal/qlang"
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -47,147 +44,39 @@ func (m *Manager) RankBlockIn(scope *Scope, def *qlang.TaskDef, items []RankItem
 		return
 	}
 	st := m.state(def.Name, def)
-	base := m.basePolicy()
-	st.mu.Lock()
-	pol := st.scopedPolicyLocked(base, scope)
-	st.submitted += int64(len(items))
-	st.mu.Unlock()
-
-	price := m.priceFor(def, pol)
-	h := &hit.HIT{
-		ID:          m.market.NewHITID(),
-		Task:        def.Name,
-		Type:        def.Type,
-		Title:       def.Name,
-		Question:    hit.RenderText(def.Text, def.TextArgs, def.Params, nil),
-		Response:    rankResponse(def),
-		RewardCents: price,
-		Assignments: pol.Assignments,
+	pol := st.policyIn(m.basePolicy(), scope, len(items))
+	flItems := make([]pendingItem, len(items))
+	for i, it := range items {
+		flItems[i] = pendingItem{key: it.Key, args: it.Args, def: def, scope: scope}
 	}
-	if h.Question == "" {
-		h.Question = "Order the shown items."
-	}
-	for _, it := range items {
-		h.Items = append(h.Items, hit.Item{Key: it.Key, Args: it.Args})
-	}
-
-	cost := budget.Cents(price * int64(pol.Assignments))
-	if err := scope.spend(cost); err != nil {
-		done(nil, fmt.Errorf("taskmgr: %s: %w", def.Name, err))
-		return
-	}
-	if err := m.account.Spend(cost); err != nil {
-		scope.refund(cost)
-		done(nil, fmt.Errorf("taskmgr: %s: %w", def.Name, err))
-		return
-	}
-	st.mu.Lock()
-	st.spent += cost
-	st.hitsPosted++
-	st.questionsAsked += int64(len(items))
-	st.mu.Unlock()
-
-	fl := &rankInflight{
-		state:    st,
-		def:      def,
-		scope:    scope,
-		cost:     cost,
-		keys:     keysOf(items),
-		needed:   pol.Assignments,
-		postedAt: m.market.Clock().Now(),
-		backend:  m.servingBackend(def),
-		reward:   price,
-		done:     done,
-	}
-	fl.span = m.traceDirectHIT(scope, h.ID, def.Name, fl.backend, cost)
-	fl.span.Annotate("group_size", fmt.Sprintf("%d", len(items)))
-	s := m.flights.stripeFor(h.ID)
-	s.mu.Lock()
-	if s.ranks == nil {
-		s.ranks = make(map[string]*rankInflight)
-	}
-	s.ranks[h.ID] = fl
-	s.mu.Unlock()
-	if err := m.market.Post(h, m.onRankAssignment); err != nil {
-		s.mu.Lock()
-		delete(s.ranks, h.ID)
-		s.mu.Unlock()
-		m.traceDirectGone(fl.span, err.Error())
-		m.account.Refund(cost)
-		scope.refund(cost)
-		done(nil, fmt.Errorf("taskmgr: post %s: %v", def.Name, err))
-		return
-	}
-	if cause := scope.registerHIT(h.ID); cause != nil {
-		m.cancelScopeHIT(h.ID, scope, cause)
-	}
+	fl := m.newFlight(st, def, pol, pol.Assignments, flItems)
+	fl.ranked = done
+	m.launch(fl, nil, func([]pendingItem) *hit.HIT {
+		h := taskHIT(def, "Order the shown items.")
+		h.Response = rankResponse(def)
+		for _, it := range items {
+			h.Items = append(h.Items, hit.Item{Key: it.Key, Args: it.Args})
+		}
+		return h
+	})
 }
 
-func keysOf(items []RankItem) []string {
-	keys := make([]string, len(items))
-	for i, it := range items {
+// finalizeRanking resolves a comparison HIT's ordering shape: the
+// collected assignments become per-assignment rankings, which feed the
+// comparison agreement estimator (and the journal, so warm-started
+// engines seed ChooseRankStrategy with real evidence) before the caller
+// receives them.
+func (m *Manager) finalizeRanking(fl *flight, latencyMin float64, j Journal) {
+	st := fl.state
+	keys := make([]string, len(fl.hit.Items))
+	for i, it := range fl.hit.Items {
 		keys[i] = it.Key
 	}
-	return keys
-}
-
-// rankInflight collects the assignments of one comparison HIT.
-type rankInflight struct {
-	state    *taskState
-	def      *qlang.TaskDef
-	scope    *Scope
-	cost     budget.Cents
-	keys     []string // item keys in HIT order
-	byWorker []hit.Answers
-	received int
-	needed   int
-	postedAt mturk.VirtualTime
-	backend  string // serving backend name, recorded at post time
-	reward   int64  // per-assignment price actually charged
-	done     func([]Ranking, error)
-	span     *obs.Span // HIT trace span (nil = tracing off)
-}
-
-func (m *Manager) onRankAssignment(res mturk.AssignmentResult) {
-	s := m.flights.stripeFor(res.HITID)
-	s.mu.Lock()
-	fl, ok := s.ranks[res.HITID]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	fl.byWorker = append(fl.byWorker, res.Answers)
-	fl.received++
-	m.traceDirectAssignment(fl.span, fl.def.Name, res.Answers.WorkerID)
-	if fl.received < fl.needed {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.ranks, res.HITID)
-	s.mu.Unlock()
-	fl.scope.unregisterHIT(res.HITID)
-	m.finalizeRank(fl)
-}
-
-// finalizeRank turns the collected assignments into per-assignment
-// rankings, feeds the comparison agreement estimator (and the journal,
-// so warm-started engines seed ChooseRankStrategy with real evidence),
-// and resolves the caller. No manager lock is held while it runs.
-func (m *Manager) finalizeRank(fl *rankInflight) {
-	st := fl.state
-	latencyMin := (m.market.Clock().Now() - fl.postedAt).Minutes()
-	st.latency.Observe(latencyMin)
-	m.traceDirectDone(fl.span, fl.def.Name, fl.backend, latencyMin)
-	j := m.getJournal()
-	if j != nil {
-		j.Append(store.Record{Kind: store.KindLatency, Task: fl.def.Name, X: latencyMin})
-	}
-
 	rankings := make([]Ranking, 0, len(fl.byWorker))
 	for _, ans := range fl.byWorker {
-		r := Ranking{WorkerID: ans.WorkerID, Rank: make(map[string]int, len(fl.keys))}
+		r := Ranking{WorkerID: ans.WorkerID, Rank: make(map[string]int, len(keys))}
 		complete := true
-		for _, key := range fl.keys {
+		for _, key := range keys {
 			v, ok := ans.Values[key]
 			if !ok {
 				complete = false
@@ -205,16 +94,16 @@ func (m *Manager) finalizeRank(fl *rankInflight) {
 	// order. 1.0 = unanimous orderings; 0.5 = coin-flip (heavy
 	// inversions). The complement is the inversion rate the optimizer's
 	// hybrid window model uses.
-	m.noteWorkerRankings(fl.keys, rankings)
-	if share, pairs := pairAgreement(fl.keys, rankings); pairs > 0 {
+	m.noteWorkerRankings(keys, rankings)
+	if share, pairs := pairAgreement(keys, rankings); pairs > 0 {
 		st.rankAgreementEstimator().Observe(share)
 		st.agreement.Observe(share)
 		if j != nil {
-			j.Append(store.Record{Kind: store.KindRankPair, Task: fl.def.Name, X: share, N: int64(pairs)})
+			j.Append(store.Record{Kind: store.KindRankPair, Task: fl.hit.Task, X: share, N: int64(pairs)})
 		}
-		m.observeBackend(fl.backend, fl.def.Type, fl.reward, latencyMin, share)
+		m.observeBackend(fl.backend, fl.hit.Type, fl.reward, latencyMin, share)
 	}
-	fl.done(rankings, nil)
+	fl.ranked(rankings, nil)
 }
 
 // pairAgreement computes the mean majority share over all item pairs of

@@ -30,9 +30,6 @@ type workerRecord struct {
 func (m *Manager) noteWorkerVotes(byWorker []hit.Answers, key string, majority bool) {
 	j := m.getJournal()
 	m.repMu.Lock()
-	if m.workers == nil {
-		m.workers = make(map[string]*workerRecord)
-	}
 	type vote struct {
 		worker string
 		agreed bool
@@ -90,9 +87,6 @@ func (m *Manager) noteWorkerRankings(keys []string, rankings []Ranking) {
 	}
 	var credits []credit
 	m.repMu.Lock()
-	if m.workers == nil {
-		m.workers = make(map[string]*workerRecord)
-	}
 	for _, o := range ords {
 		if o.Worker == "" {
 			continue
@@ -130,9 +124,6 @@ func (m *Manager) RestoreReputation(worker string, votes, agreed int64) {
 	}
 	m.repMu.Lock()
 	defer m.repMu.Unlock()
-	if m.workers == nil {
-		m.workers = make(map[string]*workerRecord)
-	}
 	rec, ok := m.workers[worker]
 	if !ok {
 		rec = &workerRecord{}

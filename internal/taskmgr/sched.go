@@ -1,7 +1,6 @@
 package taskmgr
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/budget"
@@ -22,9 +21,9 @@ type queuedBatch struct {
 	st     *taskState
 	batch  []pendingItem
 	seq    int64
-	prio   int    // highest item priority in the batch
-	owner  *Scope // fair-share accounting key (first item's scope)
-	weight int    // owner's fair-share weight at enqueue time
+	prio   int               // highest item priority in the batch
+	owner  *Scope            // fair-share accounting key (first item's scope)
+	weight int               // owner's fair-share weight at enqueue time
 	at     mturk.VirtualTime // enqueue time; tracing's admission-wait basis
 	// charged records the provisional per-scope cost released when the
 	// batch is admitted (or its scope swept); see Scope.addQueuedCost.
@@ -54,9 +53,11 @@ type scheduler struct {
 }
 
 // SetAdmission caps concurrently in-flight batch HITs posted through
-// the scheduler (0 = unlimited). Lowering the cap does not recall
-// posted HITs; it only gates future admissions. Raising it admits
-// queued batches immediately.
+// the scheduler (0 = unlimited). The gate covers batch HITs only:
+// grid, comparison and grouped HITs post directly and neither wait for
+// nor hold a slot. Lowering the cap does not recall posted HITs; it
+// only gates future admissions. Raising it admits queued batches
+// immediately.
 func (m *Manager) SetAdmission(maxInflight int) {
 	m.sched.mu.Lock()
 	m.sched.max = maxInflight
@@ -133,7 +134,7 @@ func (m *Manager) dispatch() {
 // hitRetired releases an admission slot when a scheduler-admitted HIT
 // leaves the in-flight table (completion, terminal assignment failure,
 // or full expiry), then admits queued work into the freed slot.
-func (m *Manager) hitRetired(fl *inflightHIT) {
+func (m *Manager) hitRetired(fl *flight) {
 	if !fl.admitted {
 		return
 	}
@@ -229,7 +230,5 @@ func (m *Manager) sweepScheduler(sc *Scope, cause error) {
 	s.queue = kept
 	delete(s.admitted, sc)
 	s.mu.Unlock()
-	for _, it := range dropped {
-		it.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %w", it.def.Name, cause)})
-	}
+	failItems(dropped, cause)
 }

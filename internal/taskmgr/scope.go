@@ -1,7 +1,6 @@
 package taskmgr
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -331,14 +330,8 @@ func (s *Scope) Cancel(cause error) {
 // sweepCanceledPending removes the scope's queued-but-unposted items
 // from every task state and resolves them with the cause.
 func (m *Manager) sweepCanceledPending(s *Scope, cause error) {
-	m.mu.Lock()
-	states := make([]*taskState, 0, len(m.tasks))
-	for _, st := range m.tasks {
-		states = append(states, st)
-	}
-	m.mu.Unlock()
 	var dropped []pendingItem
-	for _, st := range states {
+	for _, st := range m.taskStates() {
 		st.mu.Lock()
 		kept := st.pending[:0]
 		for _, it := range st.pending {
@@ -351,140 +344,5 @@ func (m *Manager) sweepCanceledPending(s *Scope, cause error) {
 		st.pending = kept
 		st.mu.Unlock()
 	}
-	for _, it := range dropped {
-		it.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %w", it.def.Name, cause)})
-	}
-}
-
-// cancelScopeHIT withdraws one scope's stake from a posted HIT. For a
-// HIT the scope holds alone — the default, and every join/rank HIT —
-// that is full expiry: the HIT is removed from the in-flight table (so
-// a racing completion finalizes nothing), disposed at the marketplace,
-// its uncompleted assignments refunded, and every outstanding item
-// resolved with the cause. For a HIT shared with other live scopes the
-// stake merely detaches: the scope's items resolve with the cause, its
-// share of the cost covering assignments not yet completed refunds,
-// and the HIT keeps running for the remaining participants. The stripe
-// lock arbitrates against finalization, so each item still resolves
-// exactly once.
-func (m *Manager) cancelScopeHIT(hitID string, sc *Scope, cause error) {
-	str := m.flights.stripeFor(hitID)
-	str.mu.Lock()
-	if fl, ok := str.hits[hitID]; ok {
-		idx, live := -1, 0
-		for i := range fl.shares {
-			if fl.shares[i].detached {
-				continue
-			}
-			live++
-			if fl.shares[i].scope == sc {
-				idx = i
-			}
-		}
-		if idx < 0 {
-			// The scope's share already detached (or was never here);
-			// nothing left to withdraw.
-			str.mu.Unlock()
-			return
-		}
-		sh := &fl.shares[idx]
-		if live > 1 {
-			// Detach: the HIT survives for the other participants. The
-			// scope's items leave byKey so finalization skips them, and
-			// its share of the not-yet-completed assignments refunds;
-			// the consumed remainder stays on sh.cost so a later full
-			// expiry cannot refund it again.
-			sh.detached = true
-			items := make([]pendingItem, 0, len(sh.keys))
-			for _, key := range sh.keys {
-				if it, ok := fl.byKey[key]; ok {
-					items = append(items, it)
-					delete(fl.byKey, key)
-				}
-			}
-			refund := unconsumed(sh.cost, fl.assign, fl.received)
-			sh.cost -= refund
-			m.traceHITCanceled(fl, refund, false)
-			str.mu.Unlock()
-			if refund > 0 {
-				m.account.Refund(refund)
-				sc.refund(refund)
-			}
-			for _, it := range items {
-				it.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %w", it.def.Name, cause)})
-			}
-			return
-		}
-		// Sole live participant: full expiry. The refund and its trace
-		// record are computed under the stripe lock (a racing extension
-		// could otherwise append to extSpans mid-read); the marketplace
-		// and ledgers are only touched after release.
-		delete(str.hits, hitID)
-		refund := unconsumed(sh.cost, fl.assign, fl.received)
-		m.traceHITCanceled(fl, refund, true)
-		str.mu.Unlock()
-		m.market.Dispose(hitID)
-		if refund > 0 {
-			m.account.Refund(refund)
-			sc.refund(refund)
-		}
-		for _, hi := range fl.hit.Items {
-			if item, ok := fl.byKey[hi.Key]; ok {
-				item.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %w", item.def.Name, cause)})
-			}
-		}
-		m.hitRetired(fl)
-		return
-	}
-	if fl, ok := str.joins[hitID]; ok {
-		delete(str.joins, hitID)
-		str.mu.Unlock()
-		m.traceDirectGone(fl.span, cause.Error())
-		m.expireHIT(hitID, fl.scope, fl.cost)
-		for _, key := range fl.order {
-			if fl.need[key] {
-				fl.done(key, Outcome{Err: fmt.Errorf("taskmgr: %s: %w", fl.def.Name, cause)})
-			}
-		}
-		return
-	}
-	if fl, ok := str.ranks[hitID]; ok {
-		delete(str.ranks, hitID)
-		str.mu.Unlock()
-		m.traceDirectGone(fl.span, cause.Error())
-		m.expireHIT(hitID, fl.scope, fl.cost)
-		fl.done(nil, fmt.Errorf("taskmgr: %s: %w", fl.def.Name, cause))
-		return
-	}
-	str.mu.Unlock()
-}
-
-// expireHIT disposes a HIT at the marketplace and refunds whatever its
-// uncompleted assignments had charged, to both the engine account and
-// the scope.
-func (m *Manager) expireHIT(hitID string, s *Scope, cost budget.Cents) {
-	refund := budget.Cents(0)
-	if status, ok := m.market.Dispose(hitID); ok {
-		refund = cost - status.Spent
-	}
-	if refund <= 0 {
-		return
-	}
-	m.account.Refund(refund)
-	s.refund(refund)
-}
-
-// unconsumed is the slice of a share's cost covering assignments that
-// have not completed: cost × (assignments − received) ∕ assignments,
-// floored. Account and scope both refund exactly this, so the two
-// ledgers move in lockstep and a share can never refund more than it
-// was charged.
-func unconsumed(cost budget.Cents, assignments, received int) budget.Cents {
-	if assignments <= 0 || received >= assignments {
-		return 0
-	}
-	if received <= 0 {
-		return cost
-	}
-	return cost * budget.Cents(assignments-received) / budget.Cents(assignments)
+	failItems(dropped, cause)
 }

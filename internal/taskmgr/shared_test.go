@@ -473,10 +473,11 @@ func TestCancelSweepsAdmissionQueue(t *testing.T) {
 }
 
 // Ledger reconciliation under churn: injected post failures, budget
-// caps, mid-flight cancellations and shared batches — per-scope spend
-// must sum exactly to the account at quiesce. Run with -race in CI.
+// caps, mid-flight cancellations, shared batches, join grids and
+// comparison HITs — per-scope spend must sum exactly to the account at
+// quiesce. Run with -race in CI.
 func TestScopeLedgersReconcileUnderChurn(t *testing.T) {
-	m, clock := newRig(t, catOracle, crowd.Config{Workers: 4}, 0)
+	m, clock := newRig(t, mixedOracle, crowd.Config{Workers: 4}, 0)
 	def := filterDef()
 	m.SetPolicy(def.Name, Policy{Assignments: 2, BatchSize: 3, PriceCents: 3, Linger: time.Millisecond, UseCache: false})
 	m.SetAdmission(2)
@@ -491,7 +492,7 @@ func TestScopeLedgersReconcileUnderChurn(t *testing.T) {
 	const nScopes = 8
 	scopes := make([]*Scope, nScopes)
 	var outs atomic.Int64
-	const perScope = 6
+	const perScope = 6 + 4 + 1 // filter items, grid pairs, one ranking
 	for i := range scopes {
 		scopes[i] = m.NewScope()
 		scopes[i].SetShared(i%2 == 0) // half share, half isolated
@@ -505,11 +506,14 @@ func TestScopeLedgersReconcileUnderChurn(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < perScope; j++ {
+			for j := 0; j < 6; j++ {
 				m.Submit(Request{Def: def,
 					Args:  []relation.Value{relation.NewString(fmt.Sprintf("cat-%d-%d", i, j))},
 					Scope: sc, Done: func(Outcome) { outs.Add(1) }})
 			}
+			m.JoinBlockIn(sc, joinDef(), gridItems(fmt.Sprintf("l%d", i), 2), gridItems(fmt.Sprintf("r%d", i), 2),
+				func(string, Outcome) { outs.Add(1) })
+			m.RankBlockIn(sc, rankDef(), rankItemsN(3), func([]Ranking, error) { outs.Add(1) })
 			if i%4 == 1 {
 				sc.Cancel(nil) // mid-flight cancellation
 			}

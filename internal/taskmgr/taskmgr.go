@@ -6,16 +6,27 @@
 // multi-answer lists redundancy produces, and feeds the Statistics
 // Manager's estimators.
 //
+// HIT lifecycle (flight.go): every posted HIT — filter batch, grouped
+// HIT, join grid or comparison HIT — is one flight record in one
+// table, and takes one launch path (charge scopes and account, post,
+// roll back on failure), one completion and failure path, one
+// finalization and one scope-cancel/refund path. A record carries one
+// of two answer shapes: item-wise HITs (batches, grouped HITs, grid
+// pairs) resolve each item key through its own callback; ordering HITs
+// (comparisons) hand every complete ranking to one callback. Only
+// batch HITs pass the admission scheduler (sched.go).
+//
 // Concurrency: the manager has no global lock on its hot paths. Each
-// task's batching state carries its own mutex, in-flight HIT collection
-// state is striped by HIT ID (flightTable), and the manager-level mutex
-// guards only the task registry and base policy. Assignment completions
-// for different HITs therefore never contend, matching the sharded
+// task's batching state carries its own mutex, flight records are
+// striped by HIT ID (flightTable), and the manager-level mutex guards
+// only the task registry and base policy. Assignment completions for
+// different HITs therefore never contend, matching the sharded
 // marketplace underneath (see internal/mturk's package comment).
 //
-// Determinism: every finalization resolves its batched items in the
-// HIT's item order (never map order), so a completed HIT triggers
-// downstream work in the same order on every run.
+// Determinism: every finalization resolves its items in a fixed order
+// (HIT item order, grid pairs row-major; never map order), so a
+// completed HIT triggers downstream work in the same order on every
+// run.
 package taskmgr
 
 import (
@@ -30,7 +41,6 @@ import (
 	"repro/internal/budget"
 	"repro/internal/cache"
 	"repro/internal/hit"
-	"repro/internal/infer"
 	"repro/internal/model"
 	"repro/internal/mturk"
 	"repro/internal/obs"
@@ -270,30 +280,7 @@ type pendingItem struct {
 	priority    int    // scope priority at submission time
 	shared      bool   // may co-batch with other sharing scopes
 	done        func(Outcome)
-	addedAt     mturk.VirtualTime
 	span        *obs.Span // submitting operator's trace span (nil = tracing off)
-}
-
-// flightStripes is the number of lock stripes for in-flight HIT state.
-const flightStripes = 16
-
-// flightStripe holds the in-flight HITs whose IDs hash to it.
-type flightStripe struct {
-	mu    sync.Mutex
-	hits  map[string]*inflightHIT
-	joins map[string]*joinInflight
-	ranks map[string]*rankInflight
-}
-
-// flightTable stripes in-flight collection state by HIT ID, mirroring
-// the marketplace's shards: completions of different HITs take
-// different locks.
-type flightTable struct {
-	stripes [flightStripes]flightStripe
-}
-
-func (t *flightTable) stripeFor(hitID string) *flightStripe {
-	return &t.stripes[mturk.ShardIndex(hitID, flightStripes)]
 }
 
 // Manager routes task applications to the cache, the model, or batched
@@ -392,61 +379,6 @@ func (m *Manager) getJournal() Journal {
 	return nil
 }
 
-// hitShare is one scope's stake in a (possibly shared) HIT: the item
-// keys it contributed and the slice of the HIT cost it was charged.
-// cost is maintained as charged-and-not-yet-refunded, so detach and
-// expiry refunds can never double-pay; mutations after posting happen
-// under the HIT's stripe lock.
-type hitShare struct {
-	scope    *Scope
-	keys     []string
-	cost     budget.Cents
-	detached bool
-}
-
-type inflightHIT struct {
-	hit      *hit.HIT
-	state    *taskState
-	shares   []hitShare   // per-scope stakes; one entry for unshared HITs
-	cost     budget.Cents // total charged at post time (sum of shares)
-	byKey    map[string]pendingItem
-	answers  map[string][]relation.Value
-	byWorker []hit.Answers
-	received int
-	needed   int
-	assign   int  // assignments at post time; basis for pro-rata refunds
-	admitted bool // holds an admission-scheduler slot until retired
-	postedAt mturk.VirtualTime
-	backend  string // serving backend name, recorded at post time
-	group    bool   // finalize with per-item task attribution
-
-	// Adaptive redundancy (adaptive.go). agg is non-nil only when an EM
-	// aggregator resolves this HIT's answers; adaptive marks HITs posted
-	// below capA whose completions may buy further assignments.
-	agg      infer.Aggregator
-	adaptive bool
-	boolTask bool    // boolean vs categorical EM model
-	target   float64 // posterior confidence that stops extending
-	capA     int     // policy assignment cap for this batch
-
-	// Tracing (obs.go): span is the HIT's trace span (nil when tracing
-	// was off at post time), opSpans the distinct submitting operator
-	// spans (HIT/cost attribution), extSpans the adaptive extension
-	// spans in purchase order. span and opSpans are fixed before the
-	// HIT becomes visible to completions; extSpans appends take the
-	// stripe lock.
-	span     *obs.Span
-	opSpans  []*obs.Span
-	extSpans []*obs.Span
-}
-
-// unregister forgets the HIT at every participating scope.
-func (fl *inflightHIT) unregister(hitID string) {
-	for i := range fl.shares {
-		fl.shares[i].scope.unregisterHIT(hitID)
-	}
-}
-
 // New wires a manager to the simulated marketplace. models may be nil
 // (no automation); account may be nil (unlimited budget).
 func New(market *mturk.Marketplace, c *cache.Cache, models *model.Registry, account *budget.Account) *Manager {
@@ -473,6 +405,8 @@ func NewWithBackend(be backend.Backend, c *cache.Cache, models *model.Registry, 
 		book:    stats.NewBackendBook(),
 		tasks:   make(map[string]*taskState),
 		base:    DefaultPolicy(),
+		workers: make(map[string]*workerRecord),
+		quality: make(map[string]*stats.EWMA),
 	}
 	// Assignments can fail terminally (no eligible worker after all
 	// retries, e.g. a blocklist starving a small pool). The manager
@@ -515,74 +449,6 @@ func (m *Manager) observeBackend(name string, tt qlang.TaskType, rewardCents int
 	}
 }
 
-// onAssignmentFailed reduces an inflight HIT's expected assignment count;
-// when nothing more can arrive the HIT finalizes with whatever it has.
-func (m *Manager) onAssignmentFailed(hitID string, err error) {
-	s := m.flights.stripeFor(hitID)
-	s.mu.Lock()
-	if fl, ok := s.hits[hitID]; ok {
-		fl.needed--
-		if fl.received < fl.needed {
-			s.mu.Unlock()
-			return
-		}
-		delete(s.hits, hitID)
-		s.mu.Unlock()
-		fl.unregister(hitID)
-		m.hitRetired(fl)
-		if fl.received == 0 {
-			m.traceHITAbandoned(fl, err)
-			for _, it := range fl.hit.Items {
-				if item, ok := fl.byKey[it.Key]; ok {
-					item.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %v", fl.hit.Task, err)})
-				}
-			}
-			return
-		}
-		m.finalizeInflight(fl)
-		return
-	}
-	if fl, ok := s.joins[hitID]; ok {
-		fl.needed--
-		if fl.received < fl.needed {
-			s.mu.Unlock()
-			return
-		}
-		delete(s.joins, hitID)
-		s.mu.Unlock()
-		fl.scope.unregisterHIT(hitID)
-		if fl.received == 0 {
-			m.traceDirectGone(fl.span, err.Error())
-			for _, key := range fl.order {
-				if fl.need[key] {
-					fl.done(key, Outcome{Err: fmt.Errorf("taskmgr: %s: %v", fl.def.Name, err)})
-				}
-			}
-			return
-		}
-		m.finalizeJoin(fl)
-		return
-	}
-	if fl, ok := s.ranks[hitID]; ok {
-		fl.needed--
-		if fl.received < fl.needed {
-			s.mu.Unlock()
-			return
-		}
-		delete(s.ranks, hitID)
-		s.mu.Unlock()
-		fl.scope.unregisterHIT(hitID)
-		if fl.received == 0 {
-			m.traceDirectGone(fl.span, err.Error())
-			fl.done(nil, fmt.Errorf("taskmgr: %s: %v", fl.def.Name, err))
-			return
-		}
-		m.finalizeRank(fl)
-		return
-	}
-	s.mu.Unlock()
-}
-
 // Cache returns the manager's task cache.
 func (m *Manager) Cache() *cache.Cache { return m.cache }
 
@@ -616,16 +482,7 @@ func (m *Manager) SetPolicy(task string, p Policy) {
 
 // PolicyFor reports the effective policy for a task definition.
 func (m *Manager) PolicyFor(def *qlang.TaskDef) Policy {
-	st := m.state(def.Name, def)
-	base := m.basePolicy()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.effectivePolicyLocked(base)
-}
-
-// effectivePolicyLocked resolves the policy for this task; st.mu held.
-func (st *taskState) effectivePolicyLocked(base Policy) Policy {
-	return st.scopedPolicyLocked(base, nil)
+	return m.state(def.Name, def).policyIn(m.basePolicy(), nil, 0)
 }
 
 // scopedPolicyLocked resolves the policy for this task as seen by one
@@ -645,6 +502,16 @@ func (st *taskState) scopedPolicyLocked(base Policy, scope *Scope) Policy {
 		p = p.merged(st.def)
 	}
 	return p.Clamped()
+}
+
+// policyIn resolves the policy for this task as seen by scope (nil =
+// the task's effective policy), first counting submitted new
+// applications.
+func (st *taskState) policyIn(base Policy, scope *Scope, submitted int) Policy {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.submitted += int64(submitted)
+	return st.scopedPolicyLocked(base, scope)
 }
 
 // state returns (creating if needed) the named task's state.
@@ -688,50 +555,17 @@ func (m *Manager) Submit(req Request) {
 	}
 	st := m.state(req.Def.Name, req.Def)
 	base := m.basePolicy()
-	st.mu.Lock()
-	st.submitted++
-	pol := st.scopedPolicyLocked(base, req.Scope)
-	st.mu.Unlock()
+	pol := st.policyIn(base, req.Scope, 1)
 
-	// 1. Task Cache: a prior answer costs nothing.
-	if pol.UseCache {
-		if entry, ok := m.cache.Get(cache.NewKey(req.Def.Name, req.Args)); ok && len(entry.Answers) > 0 {
-			st.mu.Lock()
-			st.cacheHits++
-			st.mu.Unlock()
-			req.Trace.AddCacheHits(1)
-			if reg := m.obsRegistry(); reg != nil {
-				reg.Counter(obs.MetricCacheHits, obs.L("task", req.Def.Name)).Add(1)
-			}
-			out := reduce(req.Def, entry.Answers)
-			out.FromCache = true
-			if isBooleanTask(req.Def) {
-				st.observeSelectivity(out.Value.Truthy(), req.StatSide)
-			}
-			req.Done(out)
-			return
-		}
+	// A prior answer in the Task Cache, or a confident Task Model, costs
+	// nothing.
+	if out, ok := m.answerFree(st, pol, req.Def, req.Args, req.StatSide, req.Trace); ok {
+		req.Done(out)
+		return
 	}
 
-	// 2. Task Model: a confident classifier answers boolean tasks.
-	if pol.UseModel && isBooleanTask(req.Def) {
-		if tm, ok := m.models.For(req.Def.Name); ok {
-			if v, _, ok := tm.TryAnswer(req.Args); ok {
-				st.mu.Lock()
-				st.modelAnswers++
-				st.mu.Unlock()
-				req.Trace.AddModelHits(1)
-				if reg := m.obsRegistry(); reg != nil {
-					reg.Counter(obs.MetricModelAnswers, obs.L("task", req.Def.Name)).Add(1)
-				}
-				st.observeSelectivity(v.Truthy(), req.StatSide)
-				req.Done(Outcome{Value: v, Answers: []relation.Value{v}, Agreement: 1, FromModel: true})
-				return
-			}
-		}
-	}
-
-	// 3. Queue for humans; batch with other applications of this task.
+	// Otherwise queue for humans; batch with other applications of this
+	// task.
 	item := pendingItem{
 		key:         m.newKey(),
 		args:        req.Args,
@@ -743,7 +577,6 @@ func (m *Manager) Submit(req Request) {
 		priority:    req.Scope.priorityNow(),
 		shared:      req.Scope.sharedNow() || req.Def.Share,
 		done:        req.Done,
-		addedAt:     m.market.Clock().Now(),
 		span:        req.Trace,
 	}
 	var batches [][]pendingItem
@@ -864,16 +697,21 @@ func (m *Manager) FlushScope(task string, sc *Scope) {
 // FlushAll posts every partial batch, in task-name order so the posting
 // sequence is deterministic.
 func (m *Manager) FlushAll() {
+	for _, st := range m.taskStates() {
+		m.flushState(st)
+	}
+}
+
+// taskStates snapshots the task registry in task-name order.
+func (m *Manager) taskStates() []*taskState {
 	m.mu.Lock()
-	names := make([]string, 0, len(m.tasks))
-	for name := range m.tasks {
-		names = append(names, name)
+	states := make([]*taskState, 0, len(m.tasks))
+	for _, st := range m.tasks {
+		states = append(states, st)
 	}
 	m.mu.Unlock()
-	sort.Strings(names)
-	for _, name := range names {
-		m.flushState(m.state(name, nil))
-	}
+	sort.Slice(states, func(i, j int) bool { return states[i].name < states[j].name })
+	return states
 }
 
 func (m *Manager) flushState(st *taskState) {
@@ -968,101 +806,24 @@ func (m *Manager) postBatches(st *taskState, batches [][]pendingItem) {
 	m.dispatch()
 }
 
-// splitCost divides a HIT's cost across scopes proportionally to their
-// item counts, in integer cents, with largest-remainder rounding so
-// the parts always sum exactly to the total. Ties break toward earlier
-// shares (batch first-appearance order), keeping the split
-// deterministic.
-func splitCost(total budget.Cents, counts []int) []budget.Cents {
-	sum := 0
-	for _, c := range counts {
-		sum += c
-	}
-	out := make([]budget.Cents, len(counts))
-	if sum == 0 {
-		return out
-	}
-	assigned := budget.Cents(0)
-	rems := make([]int64, len(counts))
-	for i, c := range counts {
-		num := int64(total) * int64(c)
-		out[i] = budget.Cents(num / int64(sum))
-		rems[i] = num % int64(sum)
-		assigned += out[i]
-	}
-	for extra := total - assigned; extra > 0; extra-- {
-		best := 0
-		for i, r := range rems {
-			if r > rems[best] {
-				best = i
-			}
-		}
-		out[best]++
-		rems[best] = -1
-	}
-	return out
-}
-
-// shareOut groups a batch's items by scope in first-appearance order
-// and splits the HIT cost across the groups by item count.
-func shareOut(items []pendingItem, cost budget.Cents) []hitShare {
-	var shares []hitShare
-	idx := make(map[*Scope]int)
-	for _, it := range items {
-		i, ok := idx[it.scope]
-		if !ok {
-			i = len(shares)
-			idx[it.scope] = i
-			shares = append(shares, hitShare{scope: it.scope})
-		}
-		shares[i].keys = append(shares[i].keys, it.key)
-	}
-	counts := make([]int, len(shares))
-	for i := range shares {
-		counts[i] = len(shares[i].keys)
-	}
-	for i, c := range splitCost(cost, counts) {
-		shares[i].cost = c
-	}
-	return shares
-}
-
-// post sends a HIT to the marketplace, via the test hook when one is
-// installed.
-func (m *Manager) post(h *hit.HIT) error {
-	if hook := m.postHook.Load(); hook != nil {
-		if err := (*hook)(h); err != nil {
-			return err
-		}
-	}
-	return m.market.Post(h, m.onAssignment)
-}
-
 // batchPolicy resolves the posting policy for one batch: the first
 // item's scoped policy (identical across the batch by group
 // construction) with the batch's assignments override applied.
 func (m *Manager) batchPolicy(st *taskState, batch []pendingItem) Policy {
-	base := m.basePolicy()
-	st.mu.Lock()
-	pol := st.scopedPolicyLocked(base, batch[0].scope)
-	st.mu.Unlock()
+	pol := st.policyIn(m.basePolicy(), batch[0].scope, 0)
 	if batch[0].assignments > 0 {
 		pol.Assignments = batch[0].assignments
 	}
 	return pol
 }
 
-// postBatch compiles one batch into a HIT and posts it, reporting
-// whether a HIT actually reached the marketplace (the admission
-// scheduler releases the slot otherwise). Items in a batch share one
-// assignments override and either one scope or — for sharing-opted
-// items — one effective posting policy across several scopes; the HIT
-// cost is split across the participating scopes by item count (integer
-// cents, largest-remainder rounding) so per-scope budgets and refunds
-// stay exact. No locks are held: posting calls into the marketplace
-// and, on synchronous failure, back into user callbacks. queuedAt is
-// the admission-scheduler enqueue time (zero for paths that bypass
-// it); tracing reports the difference as admission wait.
+// postBatch compiles one admitted batch into a HIT and launches it,
+// reporting whether a HIT actually reached the marketplace (the
+// admission scheduler releases the slot otherwise). Items in a batch
+// share one assignments override and either one scope or — for
+// sharing-opted items — one effective posting policy across several
+// scopes. queuedAt is the admission-scheduler enqueue time; tracing
+// reports the difference as admission wait.
 func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.VirtualTime) bool {
 	pol := m.batchPolicy(st, batch)
 	def := st.defOf()
@@ -1087,275 +848,30 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 	live := make([]pendingItem, 0, len(batch))
 	for _, it := range batch {
 		if cause := it.scope.Err(); cause != nil {
-			it.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %w", it.def.Name, cause)})
+			failItems([]pendingItem{it}, cause)
 			continue
 		}
 		live = append(live, it)
 	}
-
-	// Charge each participating scope its share. When one scope's
-	// budget cannot cover its slice, refund the scopes already charged,
-	// fail that scope's items, and retry with the rest — the HIT price
-	// does not depend on how many scopes fill it, so the loop strictly
-	// shrinks the scope set and terminates.
-	price := m.priceFor(def, pol)
-	cost := budget.Cents(price * int64(postAssign))
-	var shares []hitShare
-	for len(live) > 0 {
-		shares = shareOut(live, cost)
-		failed := -1
-		var ferr error
-		for i := range shares {
-			if err := shares[i].scope.spend(shares[i].cost); err != nil {
-				failed, ferr = i, err
-				break
-			}
-		}
-		if failed < 0 {
-			break
-		}
-		for i := 0; i < failed; i++ {
-			shares[i].scope.refund(shares[i].cost)
-		}
-		bad := shares[failed].scope
-		kept := live[:0]
-		for _, it := range live {
-			if it.scope == bad {
-				it.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %w", def.Name, ferr)})
-			} else {
-				kept = append(kept, it)
-			}
-		}
-		live = kept
-	}
 	if len(live) == 0 {
 		return false
 	}
-	if err := m.account.Spend(cost); err != nil {
-		for i := range shares {
-			shares[i].scope.refund(shares[i].cost)
-		}
-		for _, it := range live {
-			it.done(Outcome{Err: fmt.Errorf("taskmgr: %s: %w", def.Name, err)})
-		}
-		return false
-	}
 
-	h := &hit.HIT{
-		ID:          m.market.NewHITID(),
-		Task:        def.Name,
-		Type:        def.Type,
-		Title:       def.Name,
-		Question:    batchQuestion(def, live),
-		Response:    responseFor(def),
-		RewardCents: price,
-		Assignments: postAssign,
-	}
-	byKey := make(map[string]pendingItem, len(live))
-	for _, it := range live {
-		prompt := it.prompt
-		if prompt == "" && len(live) > 1 {
-			prompt = hit.RenderText(it.def.Text, it.def.TextArgs, it.def.Params, it.args)
-		}
-		h.Items = append(h.Items, hit.Item{Key: it.key, Args: it.args, Prompt: prompt})
-		byKey[it.key] = it
-	}
-
-	st.mu.Lock()
-	st.spent += cost
-	st.hitsPosted++
-	st.questionsAsked += int64(len(live))
-	st.mu.Unlock()
-	if len(shares) > 1 {
-		m.sharedHITs.Add(1)
-		m.sharedItems.Add(int64(len(live)))
-		m.sharedSaved.Add(int64(len(shares) - 1))
-		m.savedCents.Add(int64(cost) * int64(len(shares)-1))
-	}
-
-	fl := &inflightHIT{
-		hit:      h,
-		state:    st,
-		shares:   shares,
-		cost:     cost,
-		byKey:    byKey,
-		answers:  make(map[string][]relation.Value, len(live)),
-		needed:   postAssign,
-		assign:   postAssign,
-		admitted: true,
-		postedAt: m.market.Clock().Now(),
-		backend:  m.servingBackend(def),
-		agg:      agg,
-		adaptive: adaptive,
-		boolTask: isBooleanTask(def),
-		target:   target,
-		capA:     pol.Assignments,
-	}
-	m.traceBatchSpans(fl, live, pol, queuedAt)
-	s := m.flights.stripeFor(h.ID)
-	s.mu.Lock()
-	if s.hits == nil {
-		s.hits = make(map[string]*inflightHIT)
-	}
-	s.hits[h.ID] = fl
-	s.mu.Unlock()
-	if err := m.post(h); err != nil {
-		s.mu.Lock()
-		delete(s.hits, h.ID)
-		s.mu.Unlock()
-		m.traceHITPostFailed(fl, err)
-		// Refund with the same split attribution as the charge: each
-		// scope gets back exactly its share, once, and the account the
-		// exact total — a batch spanning scopes cannot double-refund.
-		for i := range shares {
-			m.account.Refund(shares[i].cost)
-			shares[i].scope.refund(shares[i].cost)
-		}
-		for _, it := range live {
-			it.done(Outcome{Err: fmt.Errorf("taskmgr: post %s: %v", def.Name, err)})
-		}
-		return false
-	}
-	m.traceBatchMetrics(fl, live, pol, queuedAt)
-	for i := range shares {
-		if cause := shares[i].scope.registerHIT(h.ID); cause != nil {
-			// The scope was canceled while the HIT was being posted;
-			// withdraw its stake ourselves — cancellation never saw it.
-			m.cancelScopeHIT(h.ID, shares[i].scope, cause)
-		}
-	}
-	return true
-}
-
-// onAssignment collects one completed assignment; when the HIT has all
-// of them, every batched item resolves. Only one goroutine can observe
-// received == needed under the stripe lock, so finalization runs exactly
-// once, outside all locks.
-func (m *Manager) onAssignment(res mturk.AssignmentResult) {
-	s := m.flights.stripeFor(res.HITID)
-	s.mu.Lock()
-	fl, ok := s.hits[res.HITID]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	for key, v := range res.Answers.Values {
-		fl.answers[key] = append(fl.answers[key], v)
-	}
-	fl.byWorker = append(fl.byWorker, res.Answers)
-	fl.received++
-	m.traceAssignment(fl, res.Answers.WorkerID)
-	if fl.received < fl.needed {
-		s.mu.Unlock()
-		return
-	}
-	if fl.adaptive && fl.needed < fl.capA && !m.itemsConfident(fl) {
-		// Posterior still unsure below the cap: keep the HIT in flight
-		// and buy one more assignment. No other completion can race in —
-		// every posted slot has reported — so this goroutine alone
-		// decides extend-or-finalize.
-		s.mu.Unlock()
-		m.extendInflight(s, res.HITID, fl)
-		return
-	}
-	delete(s.hits, res.HITID)
-	s.mu.Unlock()
-	fl.unregister(res.HITID)
-	m.hitRetired(fl)
-	m.finalizeInflight(fl)
-}
-
-// finalizeInflight resolves every batched item of a completed (or
-// partially failed) HIT, in the HIT's item order so reruns resolve
-// identically. It must not hold any manager lock: the Done callbacks may
-// reenter Submit.
-func (m *Manager) finalizeInflight(fl *inflightHIT) {
-	if fl.group {
-		m.finalizeGroup(fl)
-		return
-	}
-	st := fl.state
-	latencyMin := (m.market.Clock().Now() - fl.postedAt).Minutes()
-	st.latency.Observe(latencyMin)
-	j := m.getJournal()
-	if j != nil {
-		j.Append(store.Record{Kind: store.KindLatency, Task: fl.hit.Task, X: latencyMin})
-	}
-	if fl.adaptive {
-		m.adaptiveHITs.Add(1)
-		m.adaptiveAssign.Add(int64(fl.assign))
-		m.adaptiveCapSum.Add(int64(fl.capA))
-		if saved := int64(fl.capA-fl.assign) * fl.hit.RewardCents; saved > 0 {
-			m.inferSaved.Add(saved)
-		}
-	}
-
-	// Under an EM aggregator, resolve answers from one joint fit over
-	// the whole HIT — worker accuracies and item posteriors estimated
-	// together — and feed the fitted accuracies back as quality
-	// evidence. The fit reads the same votes in the same order as the
-	// adaptive loop's confidence checks, so the finalized answer is the
-	// posterior that stopped the extensions.
-	var posts map[string]infer.Posterior
-	if em, ok := fl.agg.(*infer.EM); ok {
-		items, keys := fl.votesByItem()
-		ps, accs := em.Fit(items, fl.boolTask)
-		posts = make(map[string]infer.Posterior, len(keys))
-		for i, key := range keys {
-			posts[key] = ps[i]
-		}
-		m.noteWorkerQuality(accs)
-	}
-	m.traceHITDone(fl, latencyMin, posts)
-
-	type resolution struct {
-		done func(Outcome)
-		out  Outcome
-	}
-	var resolved []resolution
-	base := m.basePolicy()
-	st.mu.Lock()
-	pol := st.effectivePolicyLocked(base)
-	st.mu.Unlock()
-	var agreeSum float64
-	var agreeN int
-	for _, hi := range fl.hit.Items {
-		item, ok := fl.byKey[hi.Key]
-		if !ok {
-			continue
-		}
-		answers := fl.answers[hi.Key]
-		out := reduce(item.def, answers)
-		if p, ok := posts[hi.Key]; ok && len(answers) > 0 {
-			out.Value = p.Value
-			out.Agreement = p.Confidence
-		}
-		st.agreement.Observe(out.Agreement)
-		agreeSum += out.Agreement
-		agreeN++
-		if isBooleanTask(item.def) {
-			st.observeSelectivity(out.Value.Truthy(), item.side)
-			m.noteWorkerVotes(fl.byWorker, hi.Key, out.Value.Truthy())
-		}
-		if pol.UseCache {
-			m.cache.Put(cache.NewKey(item.def.Name, item.args), cache.Entry{Answers: answers})
-		}
-		if pol.TrainModel && isBooleanTask(item.def) {
-			if tm, ok := m.models.For(item.def.Name); ok {
-				tm.Train(item.args, out.Value.Truthy())
+	fl := m.newFlight(st, def, pol, postAssign, live)
+	fl.admitted, fl.queuedAt, fl.batchSize = true, queuedAt, pol.BatchSize
+	fl.agg, fl.adaptive, fl.boolTask, fl.target = agg, adaptive, isBooleanTask(def), target
+	return m.launch(fl, nil, func(items []pendingItem) *hit.HIT {
+		h := &hit.HIT{Task: def.Name, Type: def.Type, Title: def.Name,
+			Question: batchQuestion(def, items), Response: responseFor(def)}
+		for _, it := range items {
+			prompt := it.prompt
+			if prompt == "" && len(items) > 1 {
+				prompt = hit.RenderText(it.def.Text, it.def.TextArgs, it.def.Params, it.args)
 			}
+			h.Items = append(h.Items, hit.Item{Key: it.key, Args: it.args, Prompt: prompt})
 		}
-		if j != nil {
-			m.journalItem(j, pol, item.def, item.args, item.side, answers, out)
-		}
-		resolved = append(resolved, resolution{done: item.done, out: out})
-	}
-	if agreeN > 0 {
-		m.observeBackend(fl.backend, fl.hit.Type, fl.hit.RewardCents, latencyMin, agreeSum/float64(agreeN))
-	}
-	for _, r := range resolved {
-		r.done(r.out)
-	}
+		return h
+	})
 }
 
 // journalItem streams one finalized item's learned artifacts to the
@@ -1452,22 +968,12 @@ func responseFor(def *qlang.TaskDef) qlang.Response {
 
 // Stats returns per-task statistics, sorted by task name.
 func (m *Manager) Stats() []TaskStats {
-	m.mu.Lock()
-	type named struct {
-		name string
-		st   *taskState
-	}
-	states := make([]named, 0, len(m.tasks))
-	for name, st := range m.tasks {
-		states = append(states, named{name, st})
-	}
-	m.mu.Unlock()
+	states := m.taskStates()
 	out := make([]TaskStats, 0, len(states))
-	for _, n := range states {
-		st := n.st
+	for _, st := range states {
 		st.mu.Lock()
 		ts := TaskStats{
-			Task:           n.name,
+			Task:           st.name,
 			Submitted:      st.submitted,
 			HITsPosted:     st.hitsPosted,
 			QuestionsAsked: st.questionsAsked,
@@ -1482,7 +988,6 @@ func (m *Manager) Stats() []TaskStats {
 		ts.MeanAgreement = st.agreement.Value()
 		out = append(out, ts)
 	}
-	sortTaskStats(out)
 	return out
 }
 
@@ -1530,22 +1035,12 @@ func (m *Manager) StatsFor(task string) TaskStats {
 	return TaskStats{Task: key}
 }
 
-func sortTaskStats(ss []TaskStats) {
-	sort.Slice(ss, func(i, j int) bool { return ss[i].Task < ss[j].Task })
-}
-
 // Pending reports queued-but-unposted items across all tasks,
 // including items cut into batches still waiting in the admission
 // queue.
 func (m *Manager) Pending() int {
-	m.mu.Lock()
-	states := make([]*taskState, 0, len(m.tasks))
-	for _, st := range m.tasks {
-		states = append(states, st)
-	}
-	m.mu.Unlock()
 	n := 0
-	for _, st := range states {
+	for _, st := range m.taskStates() {
 		st.mu.Lock()
 		n += len(st.pending)
 		st.mu.Unlock()
@@ -1574,16 +1069,4 @@ func (m *Manager) Sharing() SharingStats {
 		HITsSaved:      m.sharedSaved.Load(),
 		SavedCents:     budget.Cents(m.savedCents.Load()),
 	}
-}
-
-// Inflight reports posted HITs that have not collected all assignments.
-func (m *Manager) Inflight() int {
-	n := 0
-	for i := range m.flights.stripes {
-		s := &m.flights.stripes[i]
-		s.mu.Lock()
-		n += len(s.hits)
-		s.mu.Unlock()
-	}
-	return n
 }
