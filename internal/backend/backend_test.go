@@ -94,7 +94,7 @@ func TestLLMAnswersFilterHIT(t *testing.T) {
 	}
 	got.mu.Lock()
 	for i, r := range got.results {
-		if !r.Answers.Values["k1"].Truthy() {
+		if !r.Answers.Values[0].Truthy() {
 			t.Errorf("assignment %d answered false", i)
 		}
 		if r.External {
@@ -133,10 +133,10 @@ func TestLLMOrderScoresBecomeRanks(t *testing.T) {
 		t.Fatalf("assignments = %d", got.len())
 	}
 	vals := got.results[0].Answers.Values
-	want := map[string]int64{"bb": 0, "ccc": 1, "dddd": 2}
-	for k, rank := range want {
-		if vals[k].Int() != rank {
-			t.Errorf("rank[%s] = %v, want %d", k, vals[k], rank)
+	// Items in answer order: ccc, bb, dddd.
+	for i, rank := range []int64{1, 0, 2} {
+		if vals[i].Int() != rank {
+			t.Errorf("rank[%s] = %v, want %d", h.Items[i].Key, vals[i], rank)
 		}
 	}
 }
@@ -161,10 +161,10 @@ func TestLLMAnswersJoinGrid(t *testing.T) {
 	if len(vals) != 2 {
 		t.Fatalf("answers = %v, want one per pair", vals)
 	}
-	if !vals[hit.PairKey("l1", "r1")].Truthy() {
+	if !vals[0].Truthy() {
 		t.Error("matching pair answered false")
 	}
-	if vals[hit.PairKey("l2", "r1")].Truthy() {
+	if vals[1].Truthy() {
 		t.Error("mismatched pair answered true")
 	}
 }
@@ -207,7 +207,7 @@ func TestLLMSubmitExternalFillsPaidSlot(t *testing.T) {
 	if err := l.Post(h, got.add); err != nil {
 		t.Fatal(err)
 	}
-	ans := hit.Answers{WorkerID: "human-1", Values: map[string]relation.Value{"k1": relation.NewBool(false)}}
+	ans := hit.Answers{WorkerID: "human-1", Values: []relation.Value{relation.NewBool(false)}}
 	if err := l.SubmitExternal(h.ID, ans); err != nil {
 		t.Fatal(err)
 	}
@@ -258,9 +258,9 @@ func (perfectPool) Claim(h *hit.HIT, now mturk.VirtualTime) (mturk.Claim, bool) 
 		WorkerID: "w1",
 		Delay:    time.Minute,
 		Answer: func() (hit.Answers, error) {
-			vals := make(map[string]relation.Value)
-			for _, k := range h.Keys() {
-				vals[k] = relation.NewBool(true)
+			vals := make([]relation.Value, h.QuestionCount())
+			for i := range vals {
+				vals[i] = relation.NewBool(true)
 			}
 			return hit.Answers{Values: vals}, nil
 		},
@@ -417,7 +417,7 @@ func TestRouterRoutesLifecycleCalls(t *testing.T) {
 	if st, ok := r.Status(h.ID); !ok || st.Completed != 0 {
 		t.Fatalf("status = %+v ok=%v", st, ok)
 	}
-	ext := hit.Answers{WorkerID: "human-1", Values: map[string]relation.Value{"k1": relation.NewBool(true)}}
+	ext := hit.Answers{WorkerID: "human-1", Values: []relation.Value{relation.NewBool(true)}}
 	if err := r.SubmitExternal(h.ID, ext); err != nil {
 		t.Fatal(err)
 	}

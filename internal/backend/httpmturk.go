@@ -16,7 +16,6 @@ import (
 	"repro/internal/hit"
 	"repro/internal/mturk"
 	"repro/internal/qlang"
-	"repro/internal/relation"
 )
 
 // HTTPConfig configures the MTurk-shaped HTTP driver.
@@ -171,6 +170,9 @@ func (c *HTTP) reportError(hitID string, err error) {
 	fn := c.onError
 	c.cfgMu.RUnlock()
 	if fn != nil {
+		active := c.cfg.Clock.Activity()
+		active.Hold()
+		defer active.Release()
 		fn(hitID, err)
 	}
 }
@@ -287,6 +289,14 @@ func (c *HTTP) Post(h *hit.HIT, onAssignment func(mturk.AssignmentResult)) error
 // settled, the HIT is disposed, or the driver closes.
 func (c *HTTP) poll(ctx context.Context, ph *httpHIT, onAssignment func(mturk.AssignmentResult)) {
 	defer c.wg.Done()
+	// Deliveries run the task manager's callbacks on this goroutine,
+	// which takes part in the clock's activity while they do.
+	active := c.cfg.Clock.Activity()
+	deliver := func(res mturk.AssignmentResult) {
+		active.Hold()
+		defer active.Release()
+		onAssignment(res)
+	}
 	h := ph.hit
 	since := 0
 	for {
@@ -327,20 +337,12 @@ func (c *HTTP) poll(ctx context.Context, ph *httpHIT, onAssignment func(mturk.As
 				ph.received++
 			}
 			c.mu.Unlock()
-			ans := hit.Answers{WorkerID: wa.WorkerID, Values: make(map[string]relation.Value, len(wa.Values))}
-			bad := false
-			for k, enc := range wa.Values {
-				v, derr := decodeWireValue(enc)
-				if derr != nil {
-					bad = true
-					break
-				}
-				ans.Values[k] = v
-			}
-			if bad {
-				c.reportError(h.ID, fmt.Errorf("backend: http: undecodable assignment %s", wa.ID))
+			vals, derr := sheetFromWire(h, wa.Values)
+			if derr != nil {
+				c.reportError(h.ID, fmt.Errorf("backend: http: undecodable assignment %s: %v", wa.ID, derr))
 				continue
 			}
+			ans := hit.Answers{WorkerID: wa.WorkerID, Values: vals}
 			c.assignmentsCompleted.Add(1)
 			c.questionsAnswered.Add(int64(h.QuestionCount()))
 			if !wa.External {
@@ -348,7 +350,7 @@ func (c *HTTP) poll(ctx context.Context, ph *httpHIT, onAssignment func(mturk.As
 			} else {
 				c.externalSubmissions.Add(1)
 			}
-			onAssignment(mturk.AssignmentResult{
+			deliver(mturk.AssignmentResult{
 				HITID: h.ID, Answers: ans,
 				SubmittedAt: mturk.VirtualTime(wa.SubmittedAt), External: wa.External,
 			})
@@ -372,10 +374,13 @@ func (c *HTTP) poll(ctx context.Context, ph *httpHIT, onAssignment func(mturk.As
 
 // SubmitExternal implements Backend.
 func (c *HTTP) SubmitExternal(hitID string, ans hit.Answers) error {
-	wa := wireAssignment{WorkerID: ans.WorkerID, Values: make(map[string]string, len(ans.Values))}
-	for k, v := range ans.Values {
-		wa.Values[k] = encodeValue(v)
+	c.mu.Lock()
+	ph, ok := c.hits[hitID]
+	c.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("backend: http: unknown HIT %s", hitID)
 	}
+	wa := wireAssignment{WorkerID: ans.WorkerID, Values: wireValues(ph.hit, ans.Values)}
 	body, err := json.Marshal(wa)
 	if err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -85,6 +86,54 @@ func decodeWireValue(s string) (relation.Value, error) {
 		return relation.Value{}, fmt.Errorf("backend: bad value encoding: %v", err)
 	}
 	return v, nil
+}
+
+// wireValues encodes an answer sheet as the wire's key-addressed
+// values: position i travels under h's i-th answer key.
+func wireValues(h *hit.HIT, vals []relation.Value) map[string]string {
+	keys := h.Keys()
+	out := make(map[string]string, len(vals))
+	for i, v := range vals {
+		if i < len(keys) {
+			out[keys[i]] = encodeValue(v)
+		}
+	}
+	return out
+}
+
+// sheetFromWire decodes the wire's key-addressed values into an answer
+// sheet in h's answer order. A sheet that misses one of h's answer
+// keys, names a key h does not have, or carries an undecodable value is
+// rejected whole.
+func sheetFromWire(h *hit.HIT, wire map[string]string) ([]relation.Value, error) {
+	keys := h.Keys()
+	vals := make([]relation.Value, len(keys))
+	for i, k := range keys {
+		enc, ok := wire[k]
+		if !ok {
+			return nil, fmt.Errorf("no answer for key %q", k)
+		}
+		v, err := decodeWireValue(enc)
+		if err != nil {
+			return nil, fmt.Errorf("key %q: %v", k, err)
+		}
+		vals[i] = v
+	}
+	if len(wire) != len(keys) {
+		known := make(map[string]bool, len(keys))
+		for _, k := range keys {
+			known[k] = true
+		}
+		var unknown []string
+		for k := range wire {
+			if !known[k] {
+				unknown = append(unknown, k)
+			}
+		}
+		slices.Sort(unknown)
+		return nil, fmt.Errorf("unknown answer keys %q", unknown)
+	}
+	return vals, nil
 }
 
 func encodeArgs(args []relation.Value) []string {
@@ -331,12 +380,9 @@ func (s *Server) handlePost(r *http.Request) ([]byte, int, error) {
 		wa := wireAssignment{
 			ID:          fmt.Sprintf("%s-a%03d", res.HITID, len(sh.assignments)+1),
 			WorkerID:    res.Answers.WorkerID,
-			Values:      make(map[string]string, len(res.Answers.Values)),
+			Values:      wireValues(h, res.Answers.Values),
 			SubmittedAt: int64(res.SubmittedAt),
 			External:    res.External,
-		}
-		for k, v := range res.Answers.Values {
-			wa.Values[k] = encodeValue(v)
 		}
 		sh.assignments = append(sh.assignments, wa)
 		if !res.External {
@@ -390,15 +436,15 @@ func (s *Server) handleExternal(id string, r *http.Request) ([]byte, int, error)
 	if err := json.NewDecoder(r.Body).Decode(&wa); err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("bad assignment body: %v", err)
 	}
-	ans := hit.Answers{WorkerID: wa.WorkerID, Values: make(map[string]relation.Value, len(wa.Values))}
-	for k, enc := range wa.Values {
-		v, err := decodeWireValue(enc)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		ans.Values[k] = v
+	st, ok := s.market.Status(id)
+	if !ok {
+		return nil, http.StatusConflict, fmt.Errorf("mturk: unknown HIT %s", id)
 	}
-	if err := s.market.SubmitExternal(id, ans); err != nil {
+	vals, err := sheetFromWire(st.HIT, wa.Values)
+	if err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("undecodable assignment: %v", err)
+	}
+	if err := s.market.SubmitExternal(id, hit.Answers{WorkerID: wa.WorkerID, Values: vals}); err != nil {
 		return nil, http.StatusConflict, err
 	}
 	s.drain()

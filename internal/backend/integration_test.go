@@ -30,9 +30,9 @@ func (truePool) Claim(h *hit.HIT, now mturk.VirtualTime) (mturk.Claim, bool) {
 		WorkerID: "w1",
 		Delay:    time.Minute,
 		Answer: func() (hit.Answers, error) {
-			vals := make(map[string]relation.Value)
-			for _, k := range h.Keys() {
-				vals[k] = relation.NewBool(true)
+			vals := make([]relation.Value, h.QuestionCount())
+			for i := range vals {
+				vals[i] = relation.NewBool(true)
 			}
 			return hit.Answers{Values: vals}, nil
 		},

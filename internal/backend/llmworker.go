@@ -133,33 +133,33 @@ func (l *LLM) Post(h *hit.HIT, onAssignment func(mturk.AssignmentResult)) error 
 	return nil
 }
 
-// answer runs the model over every question of the HIT, mirroring the
-// simulated crowd's wire shapes (pair keys for join grids, rank
-// positions for Order responses).
-func (l *LLM) answer(h *hit.HIT) map[string]relation.Value {
-	vals := make(map[string]relation.Value, h.QuestionCount())
+// answer runs the model over every question of the HIT into an answer
+// sheet, mirroring the simulated crowd's shapes (every pair row-major
+// for join grids, rank positions for Order responses).
+func (l *LLM) answer(h *hit.HIT) []relation.Value {
+	vals := make([]relation.Value, 0, h.QuestionCount())
 	if h.Response.Kind == qlang.ResponseJoinColumns {
 		for _, lt := range h.Left {
 			for _, rt := range h.Right {
 				args := append(append([]relation.Value{}, lt.Args...), rt.Args...)
-				vals[hit.PairKey(lt.Key, rt.Key)] = l.cfg.Model(h.Task, h.Type, args)
+				vals = append(vals, l.cfg.Model(h.Task, h.Type, args))
 			}
 		}
 		return vals
 	}
 	for _, it := range h.Items {
-		vals[it.Key] = l.cfg.Model(h.EffectiveTask(it), h.Type, it.Args)
+		vals = append(vals, l.cfg.Model(h.EffectiveTask(it), h.Type, it.Args))
 	}
 	if h.Response.Kind == qlang.ResponseOrder {
 		// Scores become rank positions 0..n-1 (ascending, stable), as
 		// the Order form requires and the crowd simulator produces.
-		keys := make([]string, 0, len(h.Items))
-		for _, it := range h.Items {
-			keys = append(keys, it.Key)
+		order := make([]int, len(vals))
+		for i := range order {
+			order[i] = i
 		}
-		sort.SliceStable(keys, func(i, j int) bool { return vals[keys[i]].Float() < vals[keys[j]].Float() })
-		for rank, key := range keys {
-			vals[key] = relation.NewInt(int64(rank))
+		sort.SliceStable(order, func(i, j int) bool { return vals[order[i]].Float() < vals[order[j]].Float() })
+		for rank, i := range order {
+			vals[i] = relation.NewInt(int64(rank))
 		}
 	}
 	return vals

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -125,9 +126,13 @@ type Pool struct {
 	stripes []*stripe
 }
 
-// stripe is one independently locked slice of the population.
+// stripe is one independently locked slice of the population. Its
+// noise source is seeded from seed on the stripe's first claim, so a
+// pool pays for the sources of the stripes it actually uses, when it
+// uses them.
 type stripe struct {
 	mu      sync.Mutex
+	seed    int64
 	rng     *rand.Rand
 	workers []*worker
 }
@@ -143,21 +148,23 @@ func NewPool(cfg Config, oracle Oracle) *Pool {
 		// Offset by (i+1): stripe seeds must never collide with
 		// cfg.Seed itself, or a stripe's noise stream would replay the
 		// population-attribute draws above and correlate with them.
-		p.stripes = append(p.stripes, &stripe{rng: rand.New(rand.NewSource(cfg.Seed + int64(i+1)*7919))})
+		p.stripes = append(p.stripes, &stripe{seed: cfg.Seed + int64(i+1)*7919})
 	}
 	if cfg.Shards == 1 {
 		// Single-stripe claims continue the population sequence,
 		// matching the historical unsharded pool draw for draw.
 		p.stripes[0].rng = rng
 	}
-	for i := 0; i < cfg.Workers; i++ {
+	workers := make([]worker, cfg.Workers)
+	for i := range workers {
 		// The ceiling admits effectively-perfect reference crowds
 		// (MeanSkill 1, tiny SkillStd): harnesses that run concurrent
 		// queries need answers independent of claim interleaving, which
 		// any per-answer error rate would break across reruns.
 		skill := clamp(rng.NormFloat64()*cfg.SkillStd+cfg.MeanSkill, 0.55, 1.0)
-		w := &worker{
-			id:      fmt.Sprintf("worker-%03d", i+1),
+		w := &workers[i]
+		*w = worker{
+			id:      workerID(i + 1),
 			skill:   skill,
 			speed:   clamp(rng.NormFloat64()*0.3+1.0, 0.4, 2.5),
 			spammer: rng.Float64() < cfg.SpamFraction,
@@ -166,6 +173,16 @@ func NewPool(cfg Config, oracle Oracle) *Pool {
 		s.workers = append(s.workers, w)
 	}
 	return p
+}
+
+// workerID names the n-th worker: "worker-" and n zero-padded to three
+// digits.
+func workerID(n int) string {
+	id := strconv.Itoa(n)
+	if len(id) < 3 {
+		id = "00"[:3-len(id)] + id
+	}
+	return "worker-" + id
 }
 
 // stripeFor routes a HIT ID to its claim stripe.
@@ -188,6 +205,9 @@ func (p *Pool) Claim(h *hit.HIT, now mturk.VirtualTime) (mturk.Claim, bool) {
 	s := p.stripeFor(h.ID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.seed))
+	}
 	w := s.pickLocked(now)
 	if w == nil {
 		return mturk.Claim{}, false
@@ -267,34 +287,33 @@ func (p *Pool) prepareAnswersLocked(s *stripe, w *worker, h *hit.HIT, abandon bo
 		}
 	}
 	acc := p.effectiveAccuracy(w, effortOf(h))
-	var plans []answerPlan
-	addPlan := func(key, task string, args []relation.Value) {
+	plans := make([]answerPlan, 0, h.QuestionCount())
+	addPlan := func(task string, args []relation.Value) {
 		correct := !w.spammer && s.rng.Float64() < acc
-		plans = append(plans, answerPlan{key: key, task: task, args: args, correct: correct,
+		plans = append(plans, answerPlan{task: task, args: args, correct: correct,
 			u1: s.rng.Float64(), u2: s.rng.NormFloat64()})
 	}
 	if h.Response.Kind == qlang.ResponseJoinColumns {
 		for _, l := range h.Left {
 			for _, r := range h.Right {
-				addPlan(hit.PairKey(l.Key, r.Key), h.Task, append(append([]relation.Value{}, l.Args...), r.Args...))
+				addPlan(h.Task, append(append([]relation.Value{}, l.Args...), r.Args...))
 			}
 		}
 	} else {
 		for _, it := range h.Items {
-			addPlan(it.Key, h.EffectiveTask(it), it.Args)
+			addPlan(h.EffectiveTask(it), it.Args)
 		}
 	}
 	spammer := w.spammer
-	resp := h.Response
-	nItems := len(h.Items)
+	resp := &h.Response // posted HITs are immutable
 	return func() (hit.Answers, error) {
-		vals := make(map[string]relation.Value, len(plans))
-		for _, pl := range plans {
+		vals := make([]relation.Value, len(plans))
+		for i, pl := range plans {
 			truth := p.oracle.Truth(pl.task, pl.args)
-			vals[pl.key] = noisyAnswer(resp, truth, pl.correct, spammer, pl.u1, pl.u2)
+			vals[i] = noisyAnswer(resp, truth, pl.correct, spammer, pl.u1, pl.u2)
 		}
 		if resp.Kind == qlang.ResponseOrder {
-			rerank(vals, plans, nItems)
+			rerank(vals)
 		}
 		s.mu.Lock()
 		w.answered += len(plans)
@@ -309,7 +328,7 @@ func (p *Pool) prepareAnswersLocked(s *stripe, w *worker, h *hit.HIT, abandon bo
 }
 
 // noisyAnswer produces the worker's answer for one question.
-func noisyAnswer(resp qlang.Response, truth relation.Value, correct, spammer bool, u1, u2 float64) relation.Value {
+func noisyAnswer(resp *qlang.Response, truth relation.Value, correct, spammer bool, u1, u2 float64) relation.Value {
 	switch resp.Kind {
 	case qlang.ResponseYesNo, qlang.ResponseJoinColumns:
 		t := truth.Truthy()
@@ -408,9 +427,9 @@ func corruptText(truth relation.Value, u float64) relation.Value {
 }
 
 // answerPlan pre-draws one question's noise decisions under the pool
-// lock so the Answer closure is pure.
+// lock so the Answer closure is pure. Plans are in the HIT's answer
+// order, so plan i answers position i of the sheet.
 type answerPlan struct {
-	key     string
 	task    string
 	args    []relation.Value
 	correct bool
@@ -418,19 +437,16 @@ type answerPlan struct {
 }
 
 // rerank converts latent noisy scores into rank positions 0..n-1
-// (ascending score = rank 0), as the Order form requires.
-func rerank(vals map[string]relation.Value, plans []answerPlan, n int) {
-	type kv struct {
-		key   string
-		score float64
+// (ascending score = rank 0; ties keep answer order), as the Order form
+// requires.
+func rerank(vals []relation.Value) {
+	order := make([]int, len(vals))
+	for i := range order {
+		order[i] = i
 	}
-	items := make([]kv, 0, n)
-	for _, pl := range plans {
-		items = append(items, kv{pl.key, vals[pl.key].Float()})
-	}
-	sort.SliceStable(items, func(i, j int) bool { return items[i].score < items[j].score })
-	for rank, it := range items {
-		vals[it.key] = relation.NewInt(int64(rank))
+	sort.SliceStable(order, func(i, j int) bool { return vals[order[i]].Float() < vals[order[j]].Float() })
+	for rank, i := range order {
+		vals[i] = relation.NewInt(int64(rank))
 	}
 }
 

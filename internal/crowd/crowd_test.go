@@ -71,7 +71,7 @@ func TestPoolDeterminism(t *testing.T) {
 		var out []relation.Value
 		for i := 0; i < 20; i++ {
 			ans := mustAnswer(t, p, ynHIT("h", "cat1", "dog1"))
-			out = append(out, ans.Values["cat1"], ans.Values["dog1"])
+			out = append(out, ans.Values[0], ans.Values[1])
 		}
 		return out
 	}
@@ -89,10 +89,10 @@ func TestAnswerAccuracyTracksSkill(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		h := ynHIT("h", "cat-x", "dog-y")
 		ans := mustAnswer(t, p, h)
-		if ans.Values["cat-x"].Bool() {
+		if ans.Values[0].Bool() {
 			correct++
 		}
-		if !ans.Values["dog-y"].Bool() {
+		if !ans.Values[1].Bool() {
 			correct++
 		}
 		total += 2
@@ -114,7 +114,7 @@ func TestBatchPenaltyDegradesAccuracy(t *testing.T) {
 		correct, total := 0, 0
 		for r := 0; r < 120; r++ {
 			ans := mustAnswer(t, p, ynHIT("h", keys...))
-			for _, k := range keys {
+			for k := range keys {
 				if ans.Values[k].Bool() {
 					correct++
 				}
@@ -215,10 +215,10 @@ func TestJoinColumnsAnswers(t *testing.T) {
 	match, nomatch := 0, 0
 	for i := 0; i < 100; i++ {
 		ans := mustAnswer(t, p, h)
-		if ans.Values[hit.PairKey("l1", "r1")].Bool() {
+		if ans.Values[0].Bool() {
 			match++
 		}
-		if ans.Values[hit.PairKey("l1", "r2")].Bool() {
+		if ans.Values[1].Bool() {
 			nomatch++
 		}
 	}
@@ -243,7 +243,7 @@ func TestRatingAnswersStayInScale(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		ans := mustAnswer(t, p, h)
-		v := ans.Values["a"].Int()
+		v := ans.Values[0].Int()
 		if v < 1 || v > 5 {
 			t.Fatalf("rating %d out of scale", v)
 		}
@@ -267,8 +267,8 @@ func TestOrderAnswersArePermutation(t *testing.T) {
 	}
 	ans := mustAnswer(t, p, h)
 	seen := map[int64]bool{}
-	for _, k := range []string{"a", "b", "c"} {
-		seen[ans.Values[k].Int()] = true
+	for _, v := range ans.Values {
+		seen[v.Int()] = true
 	}
 	if len(seen) != 3 || !seen[0] || !seen[1] || !seen[2] {
 		t.Fatalf("ranks not a permutation: %v", ans.Values)
@@ -289,7 +289,7 @@ func TestChoiceAnswers(t *testing.T) {
 	pos := 0
 	for i := 0; i < 100; i++ {
 		ans := mustAnswer(t, p, h)
-		got := ans.Values["s"].Str()
+		got := ans.Values[0].Str()
 		valid := false
 		for _, o := range h.Response.Options {
 			if got == o {
@@ -324,11 +324,11 @@ func TestFormCorruption(t *testing.T) {
 		Items: []hit.Item{{Key: "k", Args: []relation.Value{relation.NewString("Acme")}}},
 	}
 	ans := mustAnswer(t, p, h)
-	if ans.Values["k"].Equal(truth) {
+	if ans.Values[0].Equal(truth) {
 		t.Fatal("spammer returned the exact truth")
 	}
-	if ans.Values["k"].Kind() != relation.KindTuple {
-		t.Fatalf("corrupted answer should stay a tuple: %v", ans.Values["k"])
+	if ans.Values[0].Kind() != relation.KindTuple {
+		t.Fatalf("corrupted answer should stay a tuple: %v", ans.Values[0])
 	}
 }
 

@@ -11,16 +11,18 @@ import (
 // program is an expression compiled against one input schema. Column
 // references are bound to ordinals when the query starts, so evaluating
 // a program over a row laid out by that schema reads row[i] directly and
-// resolves no names. calls maps resolved human invocations (keyed by
-// call key) to their reduced values; a call missing from it is an error,
-// since the operator must resolve calls first. Programs hold no mutable
-// state and are safe for concurrent use.
-type program func(row []relation.Value, calls map[string]relation.Value) (relation.Value, error)
+// resolves no names. Human task calls are bound to slots the same way:
+// calls holds the reduced value of each of the operator's distinct calls
+// by slot, filled by resolveCallsN, and a call reads calls[slot]. A call
+// with no slot, or evaluated before calls were resolved, is an error,
+// since the operator must resolve calls first. Programs hold no mutable state
+// and are safe for concurrent use.
+type program func(row []relation.Value, calls []relation.Value) (relation.Value, error)
 
 // predicate is an expression compiled for a boolean context (filter
 // conjuncts, join residuals): it reports the expression's truthiness.
 // AND and OR short-circuit on the left operand.
-type predicate func(row []relation.Value, calls map[string]relation.Value) (bool, error)
+type predicate func(row []relation.Value, calls []relation.Value) (bool, error)
 
 // compiler lowers expressions over the schema of a plan node's input.
 // Every operator emits tuples under its plan node's Schema(), so an
@@ -30,18 +32,25 @@ type predicate func(row []relation.Value, calls map[string]relation.Value) (bool
 // a call left unresolved, division by zero) compile into programs that
 // return them when evaluated, so a bad expression fails row by row, in
 // the order the short-circuit rules reach it.
-type compiler struct{ schema *relation.Schema }
+//
+// slots binds the operator's distinct human calls (by callBase) to their
+// slot in the calls slice; a compiler without slots compiles every call
+// as unresolved.
+type compiler struct {
+	schema *relation.Schema
+	slots  map[string]int
+}
 
 func compileValue(e qlang.Expr, s *relation.Schema) program {
-	return compiler{s}.value(e)
+	return compiler{schema: s}.value(e)
 }
 
 func compileValues(es []qlang.Expr, s *relation.Schema) []program {
-	return compiler{s}.values(es)
+	return compiler{schema: s}.values(es)
 }
 
 func compilePredicate(e qlang.Expr, s *relation.Schema) predicate {
-	return compiler{s}.predicate(e)
+	return compiler{schema: s}.predicate(e)
 }
 
 // compileConjuncts compiles a conjunct list into one predicate that
@@ -49,7 +58,7 @@ func compilePredicate(e qlang.Expr, s *relation.Schema) predicate {
 // errors.
 func compileConjuncts(cs []qlang.Expr, s *relation.Schema) predicate {
 	if len(cs) == 0 {
-		return func([]relation.Value, map[string]relation.Value) (bool, error) { return true, nil }
+		return func([]relation.Value, []relation.Value) (bool, error) { return true, nil }
 	}
 	p := compilePredicate(cs[len(cs)-1], s)
 	for i := len(cs) - 2; i >= 0; i-- {
@@ -59,7 +68,7 @@ func compileConjuncts(cs []qlang.Expr, s *relation.Schema) predicate {
 }
 
 func and(l, r predicate) predicate {
-	return func(row []relation.Value, calls map[string]relation.Value) (bool, error) {
+	return func(row []relation.Value, calls []relation.Value) (bool, error) {
 		if ok, err := l(row, calls); err != nil || !ok {
 			return false, err
 		}
@@ -68,7 +77,7 @@ func and(l, r predicate) predicate {
 }
 
 func or(l, r predicate) predicate {
-	return func(row []relation.Value, calls map[string]relation.Value) (bool, error) {
+	return func(row []relation.Value, calls []relation.Value) (bool, error) {
 		ok, err := l(row, calls)
 		if err != nil {
 			return false, err
@@ -82,7 +91,7 @@ func or(l, r predicate) predicate {
 
 // fail compiles to a program that returns err for every row.
 func fail(err error) program {
-	return func([]relation.Value, map[string]relation.Value) (relation.Value, error) {
+	return func([]relation.Value, []relation.Value) (relation.Value, error) {
 		return relation.Null, err
 	}
 }
@@ -95,30 +104,40 @@ func (c compiler) value(e qlang.Expr) program {
 	switch v := e.(type) {
 	case *qlang.Literal:
 		lit := v.Value
-		return func([]relation.Value, map[string]relation.Value) (relation.Value, error) { return lit, nil }
+		return func([]relation.Value, []relation.Value) (relation.Value, error) { return lit, nil }
 	case *qlang.ColumnRef:
 		i, ok := c.schema.Lookup(v.QualifiedName())
 		if !ok {
 			return fail(c.unknownColumn(v))
 		}
-		return func(row []relation.Value, _ map[string]relation.Value) (relation.Value, error) {
+		return func(row []relation.Value, _ []relation.Value) (relation.Value, error) {
 			return row[i], nil
 		}
 	case *qlang.Call:
-		bc := c.call(v)
-		return func(row []relation.Value, calls map[string]relation.Value) (relation.Value, error) {
-			key, _, err := bc.eval(row)
-			if err != nil {
-				return relation.Null, err
+		unresolved := fmt.Errorf("exec: unresolved call %s", v)
+		slot, ok := c.slots[callBase(v)]
+		if !ok {
+			// Not one of the operator's calls: an argument error still
+			// comes first, as when the call is evaluated.
+			args := c.values(v.Args)
+			return func(row []relation.Value, _ []relation.Value) (relation.Value, error) {
+				for _, a := range args {
+					if _, err := a(row, nil); err != nil {
+						return relation.Null, err
+					}
+				}
+				return relation.Null, unresolved
 			}
-			val, ok := calls[key]
-			if !ok {
-				return relation.Null, fmt.Errorf("exec: unresolved call %s", v)
+		}
+		field := v.Field
+		return func(_ []relation.Value, calls []relation.Value) (relation.Value, error) {
+			if slot >= len(calls) {
+				return relation.Null, unresolved
 			}
-			if v.Field != "" {
-				return val.Field(v.Field), nil
+			if field != "" {
+				return calls[slot].Field(field), nil
 			}
-			return val, nil
+			return calls[slot], nil
 		}
 	case *qlang.Binary:
 		if _, isCmp := cmpMasks[v.Op]; isCmp || v.Op == "AND" || v.Op == "OR" {
@@ -126,7 +145,7 @@ func (c compiler) value(e qlang.Expr) program {
 		}
 		l, r := c.value(v.L), c.value(v.R)
 		op := v.Op
-		return func(row []relation.Value, calls map[string]relation.Value) (relation.Value, error) {
+		return func(row []relation.Value, calls []relation.Value) (relation.Value, error) {
 			lv, err := l(row, calls)
 			if err != nil {
 				return relation.Null, err
@@ -144,14 +163,14 @@ func (c compiler) value(e qlang.Expr) program {
 		x := c.value(v.X)
 		if v.Op != "-" {
 			bad := fmt.Errorf("exec: unknown unary op %q", v.Op)
-			return func(row []relation.Value, calls map[string]relation.Value) (relation.Value, error) {
+			return func(row []relation.Value, calls []relation.Value) (relation.Value, error) {
 				if _, err := x(row, calls); err != nil {
 					return relation.Null, err
 				}
 				return relation.Null, bad
 			}
 		}
-		return func(row []relation.Value, calls map[string]relation.Value) (relation.Value, error) {
+		return func(row []relation.Value, calls []relation.Value) (relation.Value, error) {
 			xv, err := x(row, calls)
 			if err != nil {
 				return relation.Null, err
@@ -170,7 +189,7 @@ func (c compiler) value(e qlang.Expr) program {
 
 // boolean lifts a predicate into a value program yielding a Bool.
 func boolean(p predicate) program {
-	return func(row []relation.Value, calls map[string]relation.Value) (relation.Value, error) {
+	return func(row []relation.Value, calls []relation.Value) (relation.Value, error) {
 		ok, err := p(row, calls)
 		if err != nil {
 			return relation.Null, err
@@ -195,7 +214,7 @@ func (c compiler) predicate(e qlang.Expr) predicate {
 		switch v.Op {
 		case "NOT":
 			x := c.predicate(v.X)
-			return func(row []relation.Value, calls map[string]relation.Value) (bool, error) {
+			return func(row []relation.Value, calls []relation.Value) (bool, error) {
 				ok, err := x(row, calls)
 				if err != nil {
 					return false, err
@@ -207,13 +226,13 @@ func (c compiler) predicate(e qlang.Expr) predicate {
 		}
 	case *qlang.ColumnRef:
 		if i, ok := c.schema.Lookup(v.QualifiedName()); ok {
-			return func(row []relation.Value, _ map[string]relation.Value) (bool, error) {
+			return func(row []relation.Value, _ []relation.Value) (bool, error) {
 				return row[i].Truthy(), nil
 			}
 		}
 	}
 	p := c.value(e)
-	return func(row []relation.Value, calls map[string]relation.Value) (bool, error) {
+	return func(row []relation.Value, calls []relation.Value) (bool, error) {
 		v, err := p(row, calls)
 		if err != nil {
 			return false, err
@@ -258,21 +277,21 @@ func (c compiler) compare(mask uint8, le, re qlang.Expr) predicate {
 	switch {
 	case l.col >= 0 && r.lit != nil:
 		i, lit := l.col, r.lit
-		return func(row []relation.Value, _ map[string]relation.Value) (bool, error) {
+		return func(row []relation.Value, _ []relation.Value) (bool, error) {
 			return holds(mask, relation.Compare(&row[i], lit)), nil
 		}
 	case l.lit != nil && r.col >= 0:
 		lit, i := l.lit, r.col
-		return func(row []relation.Value, _ map[string]relation.Value) (bool, error) {
+		return func(row []relation.Value, _ []relation.Value) (bool, error) {
 			return holds(mask, relation.Compare(lit, &row[i])), nil
 		}
 	case l.col >= 0 && r.col >= 0:
 		i, j := l.col, r.col
-		return func(row []relation.Value, _ map[string]relation.Value) (bool, error) {
+		return func(row []relation.Value, _ []relation.Value) (bool, error) {
 			return holds(mask, relation.Compare(&row[i], &row[j])), nil
 		}
 	}
-	return func(row []relation.Value, calls map[string]relation.Value) (bool, error) {
+	return func(row []relation.Value, calls []relation.Value) (bool, error) {
 		lv, err := l.eval(row, calls)
 		if err != nil {
 			return false, err
@@ -315,15 +334,13 @@ func evalArith(op string, l, r relation.Value) (relation.Value, error) {
 	return relation.Null, fmt.Errorf("exec: unknown operator %q", op)
 }
 
-// boundCall is a human task call compiled against an input schema.
+// boundCall is a human task call compiled against an input schema: its
+// task, its argument programs and the slot its reduced value fills.
 type boundCall struct {
 	call *qlang.Call
-	name string // lower-cased: call keys ignore the name's case
+	def  *qlang.TaskDef
 	args []program
-}
-
-func (c compiler) call(v *qlang.Call) *boundCall {
-	return &boundCall{call: v, name: strings.ToLower(v.Name), args: c.values(v.Args)}
+	slot int
 }
 
 func (c compiler) values(es []qlang.Expr) []program {
@@ -334,42 +351,57 @@ func (c compiler) values(es []qlang.Expr) []program {
 	return out
 }
 
-// eval evaluates the call's arguments over a row and returns them with
-// the call key, the canonical identity under which the resolved value is
-// substituted. Field projections share the key of the underlying
-// invocation (the paper runs findCEO once per company even though
-// Query 1 mentions it twice). Arguments are evaluated without call
-// results: they may not themselves contain human calls.
-func (b *boundCall) eval(row []relation.Value) (string, []relation.Value, error) {
+// evalArgs evaluates the call's arguments over a row. Arguments are
+// evaluated without call results: they may not themselves contain human
+// calls.
+func (b *boundCall) evalArgs(row []relation.Value) ([]relation.Value, error) {
 	args := make([]relation.Value, len(b.args))
-	key := append(make([]byte, 0, 16*len(b.args)+len(b.name)+2), b.name...)
-	key = append(key, '(')
 	for i, a := range b.args {
 		v, err := a(row, nil)
 		if err != nil {
-			return "", nil, err
+			return nil, err
 		}
 		args[i] = v
-		key = v.Encode(key)
 	}
-	key = append(key, ')')
-	return string(key), args, nil
+	return args, nil
 }
 
-// compileCalls binds the distinct human task calls of exprs, in
-// first-appearance order; field projections of one invocation count
-// once.
-func compileCalls(exprs []qlang.Expr, s *relation.Schema, script *qlang.Script) []*boundCall {
-	var out []*boundCall
-	seen := map[string]bool{}
+// callKey is the canonical identity of one invocation: the lower-cased
+// task name and the encoded argument values. Grouped filters use it to
+// ask each distinct question once per tuple.
+func callKey(name string, args []relation.Value) string {
+	key := append(make([]byte, 0, 16*len(args)+len(name)+2), strings.ToLower(name)...)
+	key = append(key, '(')
+	for _, v := range args {
+		key = v.Encode(key)
+	}
+	return string(append(key, ')'))
+}
+
+// callBase names an invocation without its field projection: field
+// projections of one invocation share it (the paper runs findCEO once
+// per company even though Query 1 mentions it twice).
+func callBase(v *qlang.Call) string {
+	return (&qlang.Call{Name: v.Name, Args: v.Args}).String()
+}
+
+// bindCalls binds the distinct human task calls of exprs to slots in
+// first-appearance order (field projections of one invocation count
+// once) and returns them with a compiler whose programs read each
+// call's value from its slot.
+func bindCalls(exprs []qlang.Expr, s *relation.Schema, script *qlang.Script) (compiler, []*boundCall) {
+	c := compiler{schema: s, slots: map[string]int{}}
+	var calls []*boundCall
 	for _, e := range exprs {
 		for _, call := range CollectCalls(e, script) {
-			base := (&qlang.Call{Name: call.Name, Args: call.Args}).String()
-			if !seen[base] {
-				seen[base] = true
-				out = append(out, compiler{s}.call(call))
+			base := callBase(call)
+			if _, seen := c.slots[base]; seen {
+				continue
 			}
+			def, _ := script.Task(call.Name)
+			c.slots[base] = len(calls)
+			calls = append(calls, &boundCall{call: call, def: def, args: c.values(call.Args), slot: len(calls)})
 		}
 	}
-	return out
+	return c, calls
 }

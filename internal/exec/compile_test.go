@@ -155,29 +155,47 @@ func FuzzCompile(f *testing.F) {
 	})
 }
 
-// A call compiles to its argument programs and key: it reads the value
-// resolved under its key, projects a field, and fails when unresolved.
+// A call binds to a slot: its argument programs evaluate the task's
+// arguments, and the compiled program reads the value resolved into its
+// slot, projects a field, and fails when unresolved — as the reference
+// does for a call missing from its resolved map.
 func TestCompiledCallReadsResolvedValue(t *testing.T) {
 	s := relation.MustSchema(relation.Column{Name: "c.name", Kind: relation.KindString})
 	row := []relation.Value{relation.NewString("Acme")}
 	call := &qlang.Call{Name: "findCEO", Args: []qlang.Expr{&qlang.ColumnRef{Name: "name"}}, Field: "CEO"}
-	bc := compiler{s}.call(call)
-	key, args, err := bc.eval(row)
+	phone := &qlang.Call{Name: "findCEO", Args: call.Args, Field: "Phone"}
+	other := &qlang.Call{Name: "isCat", Args: call.Args}
+	script := &qlang.Script{Tasks: []*qlang.TaskDef{{Name: "findCEO"}, {Name: "isCat"}}}
+	c, calls := bindCalls([]qlang.Expr{call, other, phone}, s, script)
+	if len(calls) != 2 || calls[0].slot != 0 || calls[1].slot != 1 || calls[0].def.Name != "findCEO" {
+		t.Fatalf("bound calls = %+v; field projections must share one slot", calls)
+	}
+	args, err := calls[0].evalArgs(row)
 	if err != nil || len(args) != 1 || args[0].Str() != "Acme" {
-		t.Fatalf("eval = %q %v %v", key, args, err)
+		t.Fatalf("evalArgs = %v %v", args, err)
 	}
 	wantKey, err := refCallKey(call, relation.Tuple{Schema: s, Values: row})
-	if err != nil || key != wantKey {
-		t.Fatalf("key %q, reference %q (%v)", key, wantKey, err)
+	if err != nil || callKey(call.Name, args) != wantKey {
+		t.Fatalf("key %q, reference %q (%v)", callKey(call.Name, args), wantKey, err)
 	}
-	resolved := map[string]relation.Value{key: relation.NewTuple(relation.Field{Name: "CEO", Value: relation.NewString("Jane")})}
-	got, err := compileValue(call, s)(row, resolved)
-	if err != nil || got.Str() != "Jane" {
-		t.Fatalf("field projection = %v, %v", got, err)
+	resolved := []relation.Value{
+		relation.NewTuple(relation.Field{Name: "CEO", Value: relation.NewString("Jane")},
+			relation.Field{Name: "Phone", Value: relation.NewString("555")}),
+		relation.NewBool(true),
 	}
-	_, err = compileValue(call, s)(row, nil)
+	for _, tc := range []struct {
+		e    qlang.Expr
+		want string
+	}{{call, "Jane"}, {phone, "555"}, {other, "true"}} {
+		got, err := c.value(tc.e)(row, resolved)
+		if err != nil || got.String() != tc.want {
+			t.Fatalf("%v = %v, %v; want %s", tc.e, got, err, tc.want)
+		}
+	}
 	_, wantErr := refEval(call, relation.Tuple{Schema: s, Values: row}, nil)
-	if errText(err) != errText(wantErr) || err == nil {
-		t.Fatalf("unresolved call error %q, reference %q", errText(err), errText(wantErr))
+	for name, prog := range map[string]program{"unresolved slot": c.value(call), "unbound call": compileValue(call, s)} {
+		if _, err := prog(row, nil); errText(err) != errText(wantErr) || err == nil {
+			t.Fatalf("%s error %q, reference %q", name, errText(err), errText(wantErr))
+		}
 	}
 }

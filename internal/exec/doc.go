@@ -25,13 +25,28 @@
 // with no name resolution per row (compile.go). Boolean contexts —
 // filter conjuncts, join residuals — compile to predicates that return
 // bool, short-circuit AND/OR, and compare operands in place through
-// relation.Compare. Human task calls compile their argument programs
-// and call key; operators resolve them through the task manager and
-// then evaluate the same programs over the answers. Errors a row can
+// relation.Compare. Human task calls bind to slots the same way columns
+// bind to ordinals: each operator binds its distinct calls (field
+// projections of one invocation share a call) to slots in
+// first-appearance order, resolveCallsN submits them through the task
+// manager and fills a value slice by slot, and the compiled call reads
+// calls[slot] — no call key is encoded and no map is consulted per
+// tuple. Errors a row can
 // raise (an unknown column, an unresolved call) are returned per row by
 // the program and reported per tuple through the query. Compiled
 // programs are not cached with plans: compiling costs O(expression
 // nodes) per query.
+//
+// # Virtual time
+//
+// Every goroutine of a query — the result sink, each async operator's
+// producer and a human join's input drains — is a participant of the
+// crowd clock's activity tracker (internal/quiesce), and every wait on
+// the crowd is a tracked block: operator queues, the per-operator
+// outcome wait groups, the filter window and the rank barrier. The
+// clock pump advances virtual time only while every participant is
+// blocked, so a query's batches, HIT posting order and latencies depend
+// on its seed alone, not on how goroutines interleaved.
 //
 // # Tuple ownership
 //

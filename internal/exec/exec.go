@@ -12,6 +12,7 @@ import (
 	"repro/internal/qerr"
 	"repro/internal/qlang"
 	"repro/internal/queue"
+	"repro/internal/quiesce"
 	"repro/internal/rank"
 	"repro/internal/relation"
 	"repro/internal/taskmgr"
@@ -167,7 +168,13 @@ type Query struct {
 
 	// producers tracks the goroutines of async (human-powered)
 	// operators; see Start for when the stream waits on them.
-	producers sync.WaitGroup
+	producers *quiesce.WaitGroup
+
+	// active is the crowd clock's activity tracker (nil without a task
+	// manager): every goroutine of the query is a participant, and
+	// every wait on the crowd is a tracked block, so virtual time moves
+	// only while the whole query is blocked on humans.
+	active *quiesce.Tracker
 
 	// residentSum accumulates the buffer sizes of barrier operators
 	// (sorts, joins, aggregates); with queue high-water marks it bounds
@@ -350,6 +357,10 @@ func (q *Query) Cancel(cause error) {
 	if cause == nil {
 		cause = qerr.ErrCanceled
 	}
+	// Cancel resolves outcome callbacks on the caller's goroutine, and a
+	// callback may block on an operator queue.
+	q.active.Hold()
+	defer q.active.Release()
 	q.mu.Lock()
 	if q.cause != nil {
 		q.mu.Unlock()
@@ -442,13 +453,17 @@ func Start(root plan.Node, cfg Config) (*Query, error) {
 		return nil, fmt.Errorf("exec: plan has human operators but no task manager")
 	}
 	q := &Query{Root: root, cfg: cfg, done: make(chan struct{})}
+	if cfg.Mgr != nil {
+		q.active = cfg.Mgr.Backend().Clock().Activity()
+	}
+	q.producers = q.active.NewWaitGroup()
 	q.result = relation.NewTable("result", root.Schema())
 	top, _, err := q.build(root, cfg.Trace)
 	if err != nil {
 		close(q.done)
 		return nil, err
 	}
-	go func() {
+	q.active.Go(func() {
 		stable := top.Stable()
 		for {
 			t, ok := top.Next()
@@ -479,7 +494,7 @@ func Start(root plan.Node, cfg Config) (*Query, error) {
 		q.endSpans()
 		q.result.Close()
 		close(q.done)
-	}()
+	})
 	return q, nil
 }
 
@@ -572,12 +587,12 @@ func (q *Query) exprsHaveCalls(exprs ...qlang.Expr) bool {
 // starts produce, which pushes into op.out, on its own goroutine, and
 // downstream pulls through the returned queueIter.
 func (q *Query) async(op *operator, produce func()) *queueIter {
-	op.out = queue.New(q.cfg.QueueSize)
+	op.out = queue.New(q.cfg.QueueSize, q.active)
 	q.producers.Add(1)
-	go func() {
+	q.active.Go(func() {
 		defer q.producers.Done()
 		produce()
-	}()
+	})
 	return &queueIter{op: op}
 }
 
@@ -706,15 +721,16 @@ func (q *Query) build(n plan.Node, parent *obs.Span) (Iterator, *operator, error
 }
 
 // resolveCalls submits the compiled human calls for tuple t and invokes
-// then with the resolved values keyed by call key (or an error). then
-// runs synchronously when there are no calls or all are cached.
-// assignments > 0 overrides the per-task redundancy (POSSIBLY predicates
-// pass 1).
-func (q *Query) resolveCalls(op *operator, t relation.Tuple, calls []*boundCall, then func(map[string]relation.Value, error)) {
-	q.resolveCallsN(op, t, calls, 0, then)
+// then with their reduced values by slot (or an error). then runs
+// synchronously when there are no calls or all are cached.
+func (q *Query) resolveCalls(op *operator, t relation.Tuple, calls []*boundCall, then func([]relation.Value, error)) {
+	q.resolveCallsN(op, t, calls, len(calls), 0, then)
 }
 
-func (q *Query) resolveCallsN(op *operator, t relation.Tuple, calls []*boundCall, assignments int, then func(map[string]relation.Value, error)) {
+// resolveCallsN resolves calls, a subset of an operator's bound calls,
+// into a fresh slot slice of length slots. assignments > 0 overrides the
+// per-task redundancy (POSSIBLY predicates pass 1).
+func (q *Query) resolveCallsN(op *operator, t relation.Tuple, calls []*boundCall, slots, assignments int, then func([]relation.Value, error)) {
 	if len(calls) == 0 {
 		then(nil, nil)
 		return
@@ -723,42 +739,47 @@ func (q *Query) resolveCallsN(op *operator, t relation.Tuple, calls []*boundCall
 		then(nil, fmt.Errorf("exec: human call without task manager"))
 		return
 	}
-	results := make(map[string]relation.Value, len(calls))
-	var mu sync.Mutex
-	var firstErr error
-	remaining := len(calls)
+	r := &callResults{results: make([]relation.Value, slots), remaining: len(calls), then: then}
 	for _, c := range calls {
-		def, ok := q.cfg.Script.Task(c.call.Name)
-		if !ok {
-			then(nil, fmt.Errorf("exec: unknown task %q", c.call.Name))
-			return
-		}
-		key, args, err := c.eval(t.Values)
+		args, err := c.evalArgs(t.Values)
 		if err != nil {
 			then(nil, err)
 			return
 		}
+		slot := c.slot
 		q.cfg.Mgr.Submit(taskmgr.Request{
-			Def:         def,
+			Def:         c.def,
 			Args:        args,
 			Assignments: assignments,
 			Scope:       q.cfg.Scope,
 			Trace:       op.span,
-			Done: func(out taskmgr.Outcome) {
-				mu.Lock()
-				if out.Err != nil && firstErr == nil {
-					firstErr = out.Err
-				} else {
-					results[key] = out.Value
-				}
-				remaining--
-				finished := remaining == 0
-				err := firstErr
-				mu.Unlock()
-				if finished {
-					then(results, err)
-				}
-			},
+			Done:        func(out taskmgr.Outcome) { r.done(slot, out) },
 		})
+	}
+}
+
+// callResults collects one tuple's call outcomes into their slots and
+// hands them on once the last one arrives.
+type callResults struct {
+	mu        sync.Mutex
+	results   []relation.Value
+	firstErr  error
+	remaining int
+	then      func([]relation.Value, error)
+}
+
+func (r *callResults) done(slot int, out taskmgr.Outcome) {
+	r.mu.Lock()
+	if out.Err != nil && r.firstErr == nil {
+		r.firstErr = out.Err
+	} else {
+		r.results[slot] = out.Value
+	}
+	r.remaining--
+	finished := r.remaining == 0
+	err := r.firstErr
+	r.mu.Unlock()
+	if finished {
+		r.then(r.results, err)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/hit"
 	"repro/internal/plan"
 	"repro/internal/qlang"
+	"repro/internal/quiesce"
 	"repro/internal/rank"
 	"repro/internal/relation"
 	"repro/internal/taskmgr"
@@ -23,32 +24,36 @@ func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
 	defer op.finish()
 	s := v.Input.Schema()
 	var local, human []qlang.Expr
-	var humanPass []predicate
-	var humanCalls [][]*boundCall
-	taskNames := map[string]bool{}
 	for _, c := range v.Conjuncts {
-		calls := compileCalls([]qlang.Expr{c}, s, q.cfg.Script)
-		if len(calls) == 0 {
+		if HasCalls(c, q.cfg.Script) {
+			human = append(human, c)
+		} else {
 			local = append(local, c)
-			continue
-		}
-		human = append(human, c)
-		humanPass = append(humanPass, compilePredicate(c, s))
-		humanCalls = append(humanCalls, calls)
-		for _, bc := range calls {
-			taskNames[bc.call.Name] = true
 		}
 	}
 	localPass := compileConjuncts(local, s)
+	// The human conjuncts share one slot space: humanCalls[h] lists the
+	// calls of conjunct h in its own first-appearance order, which is the
+	// order its cascade step submits them in.
+	hc, allCalls := bindCalls(human, s, q.cfg.Script)
+	humanPass := make([]predicate, len(human))
+	humanCalls := make([][]*boundCall, len(human))
+	for h, c := range human {
+		humanPass[h] = hc.predicate(c)
+		for _, call := range CollectCalls(c, q.cfg.Script) {
+			humanCalls[h] = append(humanCalls[h], allCalls[hc.slots[callBase(call)]])
+		}
+	}
+	taskNames := callTaskNames(allCalls)
 
-	var wg sync.WaitGroup
-	var sem chan struct{}
+	wg := q.active.NewWaitGroup()
+	var sem *quiesce.Semaphore
 	if q.cfg.FilterWindow > 0 && len(human) > 0 && !q.cfg.GroupFilters {
-		sem = make(chan struct{}, q.cfg.FilterWindow)
+		sem = q.active.NewSemaphore(q.cfg.FilterWindow)
 	}
 	finish := func() {
 		if sem != nil {
-			<-sem
+			sem.Release()
 		}
 		wg.Done()
 	}
@@ -62,11 +67,11 @@ func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
 		}
 		wg.Add(1)
 		if q.cfg.GroupFilters && len(human) > 1 {
-			q.groupFilter(op, t, humanPass, humanCalls, &wg)
+			q.groupFilter(op, t, humanPass, allCalls, wg)
 			return
 		}
 		if sem != nil {
-			sem <- struct{}{}
+			sem.Acquire()
 			// The window is open: flush whatever the previous tuples
 			// queued so their results (and selectivity updates) arrive
 			// while later tuples wait here.
@@ -87,7 +92,7 @@ func (q *Query) runFilter(op *operator, v *plan.Filter, in Iterator) {
 			if u, ok := human[h].(*qlang.Unary); ok && u.Op == "POSSIBLY" {
 				asg = 1 // approximate predicate: no redundancy
 			}
-			q.resolveCallsN(op, t, humanCalls[h], asg, func(calls map[string]relation.Value, err error) {
+			q.resolveCallsN(op, t, humanCalls[h], len(allCalls), asg, func(calls []relation.Value, err error) {
 				if err != nil {
 					q.reportError(err)
 					finish()
@@ -136,11 +141,15 @@ func (q *Query) filterOrder(human []qlang.Expr) []int {
 }
 
 // groupFilter asks all human conjuncts about one tuple in a single HIT:
-// pass holds each conjunct's predicate and calls its task calls.
-func (q *Query) groupFilter(op *operator, t relation.Tuple, pass []predicate, calls [][]*boundCall, wg *sync.WaitGroup) {
+// pass holds each conjunct's predicate and calls their bound calls in
+// slot order. Calls whose arguments evaluate to the same invocation
+// (callKey) are asked once and share the answer.
+func (q *Query) groupFilter(op *operator, t relation.Tuple, pass []predicate, calls []*boundCall, wg *quiesce.WaitGroup) {
 	// Each conjunct must be a bare boolean task call to group.
 	var reqs []taskmgr.Request
-	results := make(map[string]relation.Value)
+	results := make([]relation.Value, len(calls))
+	same := make([]int, len(calls)) // slot whose request answers this one
+	asked := make(map[string]int, len(calls))
 	var mu sync.Mutex
 	remaining := 0
 	var firstErr error
@@ -149,6 +158,9 @@ func (q *Query) groupFilter(op *operator, t relation.Tuple, pass []predicate, ca
 		if firstErr != nil {
 			q.reportError(firstErr)
 			return
+		}
+		for slot, from := range same {
+			results[slot] = results[from]
 		}
 		for _, p := range pass {
 			ok, err := p(t.Values, results)
@@ -162,48 +174,41 @@ func (q *Query) groupFilter(op *operator, t relation.Tuple, pass []predicate, ca
 		}
 		op.push(t)
 	}
-	for _, cs := range calls {
-		for _, bc := range cs {
-			def, ok := q.cfg.Script.Task(bc.call.Name)
-			if !ok {
-				q.reportError(fmt.Errorf("exec: unknown task %q", bc.call.Name))
-				wg.Done()
-				return
-			}
-			key, args, err := bc.eval(t.Values)
-			if err != nil {
-				q.reportError(err)
-				wg.Done()
-				return
-			}
-			mu.Lock()
-			if _, dup := results[key]; dup {
-				mu.Unlock()
-				continue
-			}
-			results[key] = relation.Null // placeholder marks membership
-			remaining++
-			mu.Unlock()
-			reqs = append(reqs, taskmgr.Request{
-				Def:   def,
-				Args:  args,
-				Scope: q.cfg.Scope,
-				Trace: op.span,
-				Done: func(out taskmgr.Outcome) {
-					mu.Lock()
-					if out.Err != nil && firstErr == nil {
-						firstErr = out.Err
-					}
-					results[key] = out.Value
-					remaining--
-					done := remaining == 0
-					mu.Unlock()
-					if done {
-						finish()
-					}
-				},
-			})
+	for _, bc := range calls {
+		args, err := bc.evalArgs(t.Values)
+		if err != nil {
+			q.reportError(err)
+			wg.Done()
+			return
 		}
+		key := callKey(bc.call.Name, args)
+		if from, dup := asked[key]; dup {
+			same[bc.slot] = from
+			continue
+		}
+		asked[key] = bc.slot
+		same[bc.slot] = bc.slot
+		slot := bc.slot
+		remaining++
+		reqs = append(reqs, taskmgr.Request{
+			Def:   bc.def,
+			Args:  args,
+			Scope: q.cfg.Scope,
+			Trace: op.span,
+			Done: func(out taskmgr.Outcome) {
+				mu.Lock()
+				if out.Err != nil && firstErr == nil {
+					firstErr = out.Err
+				}
+				results[slot] = out.Value
+				remaining--
+				done := remaining == 0
+				mu.Unlock()
+				if done {
+					finish()
+				}
+			},
+		})
 	}
 	if len(reqs) == 0 {
 		finish()
@@ -218,15 +223,14 @@ func (q *Query) groupFilter(op *operator, t relation.Tuple, pass []predicate, ca
 // runProject resolves each tuple's human calls, then computes outputs.
 func (q *Query) runProject(op *operator, v *plan.Project, in Iterator) {
 	defer op.finish()
-	s := v.Input.Schema()
-	items := compileItems(v.Items, s)
 	exprs := make([]qlang.Expr, len(v.Items))
 	for i, it := range v.Items {
 		exprs[i] = it.Expr
 	}
-	calls := compileCalls(exprs, s, q.cfg.Script)
+	c, calls := bindCalls(exprs, v.Input.Schema(), q.cfg.Script)
+	items := c.items(v.Items)
 	taskNames := callTaskNames(calls)
-	var wg sync.WaitGroup
+	wg := q.active.NewWaitGroup()
 	for {
 		t, ok := in.Next()
 		if !ok {
@@ -234,7 +238,7 @@ func (q *Query) runProject(op *operator, v *plan.Project, in Iterator) {
 		}
 		atomic.AddInt64(&op.in, 1)
 		wg.Add(1)
-		q.resolveCalls(op, t, calls, func(results map[string]relation.Value, err error) {
+		q.resolveCalls(op, t, calls, func(results []relation.Value, err error) {
 			defer wg.Done()
 			if err != nil {
 				q.reportError(err)
@@ -274,9 +278,9 @@ type joinSide struct {
 func (q *Query) runJoin(op *operator, v *plan.Join, left, right Iterator) {
 	defer op.finish()
 	var lbuf, rbuf []relation.Tuple
-	var dw sync.WaitGroup
+	dw := q.active.NewWaitGroup()
 	dw.Add(2)
-	go func() {
+	q.active.Go(func() {
 		defer dw.Done()
 		for {
 			t, ok := left.Next()
@@ -286,8 +290,8 @@ func (q *Query) runJoin(op *operator, v *plan.Join, left, right Iterator) {
 			atomic.AddInt64(&op.in, 1)
 			lbuf = append(lbuf, t)
 		}
-	}()
-	go func() {
+	})
+	q.active.Go(func() {
 		defer dw.Done()
 		for {
 			t, ok := right.Next()
@@ -297,7 +301,7 @@ func (q *Query) runJoin(op *operator, v *plan.Join, left, right Iterator) {
 			atomic.AddInt64(&op.in, 1)
 			rbuf = append(rbuf, t)
 		}
-	}()
+	})
 	dw.Wait()
 	q.noteResident(int64(len(lbuf) + len(rbuf)))
 
@@ -344,7 +348,7 @@ func (q *Query) passes(p predicate, t relation.Tuple) bool {
 // (Figure 3): each block pair is one HIT answering blockL×blockR pairs.
 func (q *Query) joinTwoColumn(op *operator, v *plan.Join, residual predicate, ls, rs []joinSide) {
 	lb, rb := q.cfg.JoinLeftBlock, q.cfg.JoinRightBlock
-	var wg sync.WaitGroup
+	wg := q.active.NewWaitGroup()
 	for li := 0; li < len(ls); li += lb {
 		if q.Canceled() {
 			break
@@ -406,7 +410,7 @@ func (q *Query) joinTwoColumn(op *operator, v *plan.Join, residual predicate, ls
 // joinPairwise submits one boolean question per pair — the naive join
 // interface the two-column layout is compared against.
 func (q *Query) joinPairwise(op *operator, v *plan.Join, residual predicate, ls, rs []joinSide) {
-	var wg sync.WaitGroup
+	wg := q.active.NewWaitGroup()
 	for _, l := range ls {
 		if q.Canceled() {
 			break
@@ -561,7 +565,7 @@ func (q *Query) preFilterBlock(op *operator, v *plan.PreFilter, rows []relation.
 	if v.Left {
 		side = taskmgr.SideLeft
 	}
-	var wg sync.WaitGroup
+	wg := q.active.NewWaitGroup()
 	for i := range rows {
 		if argErr[i] != nil {
 			q.reportError(argErr[i])
@@ -658,7 +662,8 @@ func (q *Query) runRank(op *operator, v *plan.Rank, in Iterator) {
 	}
 	d := decide(v, len(items))
 
-	done := make(chan struct{})
+	done := q.active.NewWaitGroup()
+	done.Add(1)
 	var perm []int
 	var rst rank.Stats
 	rank.Run(items, rateSurface(v), v.Compare, d, rank.Config{
@@ -667,9 +672,9 @@ func (q *Query) runRank(op *operator, v *plan.Rank, in Iterator) {
 		OnError: q.reportError,
 	}, func(p []int, st rank.Stats) {
 		perm, rst = p, st
-		close(done)
+		done.Done()
 	})
-	<-done
+	done.Wait()
 	q.noteRankStat(RankStat{
 		Op:          v.Label(),
 		Strategy:    string(rst.Strategy),
@@ -745,19 +750,19 @@ func (q *Query) runOrderBy(op *operator, v *plan.OrderBy, in Iterator) {
 	for i, k := range v.Keys {
 		keyExprs[i] = k.Expr
 	}
-	keyProgs := compileValues(keyExprs, s)
-	calls := compileCalls(keyExprs, s, q.cfg.Script)
+	c, calls := bindCalls(keyExprs, s, q.cfg.Script)
+	keyProgs := c.values(keyExprs)
 	taskNames := callTaskNames(calls)
 	// keys holds len(v.Keys) values per row, row-major. A key whose
 	// calls or evaluation fail stays Null, so the sort sees a
 	// well-defined value.
 	nk := len(v.Keys)
 	keys := make([]relation.Value, len(rows)*nk)
-	var wg sync.WaitGroup
+	wg := q.active.NewWaitGroup()
 	for i, t := range rows {
 		i, t := i, t
 		wg.Add(1)
-		q.resolveCalls(op, t, calls, func(results map[string]relation.Value, err error) {
+		q.resolveCalls(op, t, calls, func(results []relation.Value, err error) {
 			defer wg.Done()
 			if err != nil {
 				q.reportError(err)
@@ -797,7 +802,7 @@ func (q *Query) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 	defer op.finish()
 	type group struct {
 		first      relation.Tuple
-		firstCalls map[string]relation.Value
+		firstCalls []relation.Value
 		count      int64
 		sums       map[int]float64
 		mins       map[int]relation.Value
@@ -806,7 +811,6 @@ func (q *Query) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 	groups := make(map[string]*group)
 	var order []string
 
-	prog := compileAggregate(v)
 	exprs := append([]qlang.Expr(nil), v.Keys...)
 	for _, it := range v.Items {
 		if call, isAgg := aggCall(it.Expr); isAgg {
@@ -815,11 +819,12 @@ func (q *Query) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 			exprs = append(exprs, it.Expr)
 		}
 	}
-	calls := compileCalls(exprs, v.Input.Schema(), q.cfg.Script)
+	c, calls := bindCalls(exprs, v.Input.Schema(), q.cfg.Script)
+	prog := c.aggregate(v)
 	taskNames := callTaskNames(calls)
 
 	var mu sync.Mutex
-	var wg sync.WaitGroup
+	wg := q.active.NewWaitGroup()
 	for {
 		t, ok := in.Next()
 		if !ok {
@@ -827,7 +832,7 @@ func (q *Query) runAggregate(op *operator, v *plan.Aggregate, in Iterator) {
 		}
 		atomic.AddInt64(&op.in, 1)
 		wg.Add(1)
-		q.resolveCalls(op, t, calls, func(results map[string]relation.Value, err error) {
+		q.resolveCalls(op, t, calls, func(results []relation.Value, err error) {
 			defer wg.Done()
 			if err != nil {
 				q.reportError(err)
@@ -914,20 +919,23 @@ type aggPrograms struct {
 }
 
 func compileAggregate(v *plan.Aggregate) aggPrograms {
-	s := v.Input.Schema()
+	return compiler{schema: v.Input.Schema()}.aggregate(v)
+}
+
+func (c compiler) aggregate(v *plan.Aggregate) aggPrograms {
 	p := aggPrograms{
-		keys:  compileValues(v.Keys, s),
+		keys:  c.values(v.Keys),
 		args:  make([]program, len(v.Items)),
 		items: make([]program, len(v.Items)),
 	}
 	for i, it := range v.Items {
 		if call, isAgg := aggCall(it.Expr); isAgg {
 			if len(call.Args) > 0 {
-				p.args[i] = compileValue(call.Args[0], s)
+				p.args[i] = c.value(call.Args[0])
 			}
 			continue
 		}
-		p.items[i] = compileValue(it.Expr, s)
+		p.items[i] = c.value(it.Expr)
 	}
 	return p
 }
@@ -935,10 +943,14 @@ func compileAggregate(v *plan.Aggregate) aggPrograms {
 // compileItems compiles SELECT items over the input schema, leaving nil
 // for *.
 func compileItems(items []qlang.SelectItem, s *relation.Schema) []program {
+	return compiler{schema: s}.items(items)
+}
+
+func (c compiler) items(items []qlang.SelectItem) []program {
 	out := make([]program, len(items))
 	for i, it := range items {
 		if _, isStar := it.Expr.(*qlang.Star); !isStar {
-			out[i] = compileValue(it.Expr, s)
+			out[i] = c.value(it.Expr)
 		}
 	}
 	return out

@@ -36,6 +36,39 @@ func TestLoadHarnessDeterministic(t *testing.T) {
 	}
 }
 
+// TestExperimentsDeterministic reruns representative experiments with
+// the same seed and requires byte-identical result tables: workload
+// generation, crowd noise, batching, the sharded marketplace and the
+// sharded virtual clock are all pure functions of the seed. The engine's
+// executor goroutines run concurrently with the clock pump, so this
+// holds only because the pump advances virtual time at quiescence
+// (internal/quiesce); it must hold at any GOMAXPROCS and under -race,
+// where goroutine timing shifts the most. E5 is the plan whose recall
+// the clock race used to move, not only its latency cells.
+func TestExperimentsDeterministic(t *testing.T) {
+	runs := []struct {
+		name string
+		gen  func() Table
+	}{
+		{"E8Batching", func() Table { return E8Batching(40, 7) }},
+		{"E2Cache", func() Table { return E2Cache(8, 7) }},
+		{"E6Redundancy", func() Table { return E6Redundancy(30, 7) }},
+		{"E5PreFilter", func() Table { return E5PreFilter(5, 12, 5) }},
+		{"E11SpamDefense", func() Table { return E11SpamDefense(40, 12) }},
+	}
+	for _, run := range runs {
+		t.Run(run.name, func(t *testing.T) {
+			first := run.gen().String()
+			for i := 2; i <= 3; i++ {
+				if again := run.gen().String(); again != first {
+					t.Fatalf("run %d differs from run 1:\n--- run 1 ---\n%s\n--- run %d ---\n%s",
+						i, first, i, again)
+				}
+			}
+		})
+	}
+}
+
 // TestConcurrentQueriesRaceClean drives several queries through one
 // engine at once — executor goroutines, the clock pump, the sharded
 // marketplace and the task manager's striped state all running

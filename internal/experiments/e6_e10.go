@@ -218,28 +218,30 @@ func E9Sort(nItems int, seed int64) Table {
 	wins := make([]int, len(items))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for i := range items {
-		for j := range items {
-			if i == j {
-				continue
+	asParticipant(e, func() {
+		for i := range items {
+			for j := range items {
+				if i == j {
+					continue
+				}
+				i, j := i, j
+				wg.Add(1)
+				e.Manager().Submit(taskmgr.Request{
+					Def:  betterDef,
+					Args: []relation.Value{items[i].Get("img"), items[j].Get("img")},
+					Done: func(out taskmgr.Outcome) {
+						defer wg.Done()
+						if out.Err == nil && out.Value.Truthy() {
+							mu.Lock()
+							wins[i]++
+							mu.Unlock()
+						}
+					},
+				})
 			}
-			i, j := i, j
-			wg.Add(1)
-			e.Manager().Submit(taskmgr.Request{
-				Def:  betterDef,
-				Args: []relation.Value{items[i].Get("img"), items[j].Get("img")},
-				Done: func(out taskmgr.Outcome) {
-					defer wg.Done()
-					if out.Err == nil && out.Value.Truthy() {
-						mu.Lock()
-						wins[i]++
-						mu.Unlock()
-					}
-				},
-			})
 		}
-	}
-	e.Manager().Flush("better")
+		e.Manager().Flush("better")
+	})
 	wg.Wait()
 	// Rank by wins ascending = quality ascending.
 	measured := make([]float64, len(items))
@@ -319,12 +321,14 @@ func E10Async(nPhotos int, seed int64) Table {
 	start = e.Clock().Now()
 	blockingSubmit := func(def *qlang.TaskDef, img relation.Value) bool {
 		res := make(chan bool, 1)
-		e.Manager().Submit(taskmgr.Request{
-			Def:  def,
-			Args: []relation.Value{img},
-			Done: func(out taskmgr.Outcome) { res <- out.Err == nil && out.Value.Truthy() },
+		asParticipant(e, func() {
+			e.Manager().Submit(taskmgr.Request{
+				Def:  def,
+				Args: []relation.Value{img},
+				Done: func(out taskmgr.Outcome) { res <- out.Err == nil && out.Value.Truthy() },
+			})
+			e.Manager().Flush(def.Name)
 		})
-		e.Manager().Flush(def.Name)
 		return <-res
 	}
 	kept := 0

@@ -163,17 +163,16 @@ func firstArg(it Item) relation.Value {
 	return relation.NewString(it.Key)
 }
 
-// ParseForm decodes a submitted form (as url.Values) into typed Answers
-// for this HIT. Missing radio/checkbox inputs decode to their negative or
-// NULL values, matching browser semantics.
+// ParseForm decodes a submitted form (as url.Values) into a typed answer
+// sheet for this HIT, in answer order. Missing radio/checkbox inputs
+// decode to their negative or NULL values, matching browser semantics.
 func ParseForm(h *HIT, form url.Values, workerID string) (Answers, error) {
-	ans := Answers{WorkerID: workerID, Values: make(map[string]relation.Value)}
+	vals := make([]relation.Value, 0, h.QuestionCount())
 	switch h.Response.Kind {
 	case qlang.ResponseJoinColumns:
 		for _, l := range h.Left {
 			for _, r := range h.Right {
-				key := PairKey(l.Key, r.Key)
-				ans.Values[key] = relation.NewBool(form.Get(itemName("m", key)) == "match")
+				vals = append(vals, relation.NewBool(form.Get(itemName("m", PairKey(l.Key, r.Key))) == "match"))
 			}
 		}
 	case qlang.ResponseForm:
@@ -188,18 +187,18 @@ func ParseForm(h *HIT, form url.Values, workerID string) (Answers, error) {
 				fields = append(fields, relation.Field{Name: f.Label, Value: v})
 			}
 			if len(fields) == 1 && len(h.Response.Fields) == 1 {
-				ans.Values[it.Key] = fields[0].Value
+				vals = append(vals, fields[0].Value)
 			} else {
-				ans.Values[it.Key] = relation.NewTuple(fields...)
+				vals = append(vals, relation.NewTuple(fields...))
 			}
 		}
 	case qlang.ResponseYesNo:
 		for _, it := range h.Items {
 			switch form.Get(itemName("yn", it.Key)) {
 			case "yes":
-				ans.Values[it.Key] = relation.NewBool(true)
+				vals = append(vals, relation.NewBool(true))
 			case "no":
-				ans.Values[it.Key] = relation.NewBool(false)
+				vals = append(vals, relation.NewBool(false))
 			default:
 				return Answers{}, fmt.Errorf("hit %s item %s: yes/no not answered", h.ID, it.Key)
 			}
@@ -211,7 +210,7 @@ func ParseForm(h *HIT, form url.Values, workerID string) (Answers, error) {
 			if err != nil || n < h.Response.ScaleMin || n > h.Response.ScaleMax {
 				return Answers{}, fmt.Errorf("hit %s item %s: rating %q out of scale", h.ID, it.Key, raw)
 			}
-			ans.Values[it.Key] = relation.NewInt(int64(n))
+			vals = append(vals, relation.NewInt(int64(n)))
 		}
 	case qlang.ResponseOrder:
 		seen := make(map[int]bool, len(h.Items))
@@ -225,7 +224,7 @@ func ParseForm(h *HIT, form url.Values, workerID string) (Answers, error) {
 				return Answers{}, fmt.Errorf("hit %s: duplicate position %d", h.ID, n)
 			}
 			seen[n] = true
-			ans.Values[it.Key] = relation.NewInt(int64(n - 1))
+			vals = append(vals, relation.NewInt(int64(n-1)))
 		}
 	case qlang.ResponseChoice:
 		valid := make(map[string]bool, len(h.Response.Options))
@@ -237,12 +236,12 @@ func ParseForm(h *HIT, form url.Values, workerID string) (Answers, error) {
 			if !valid[raw] {
 				return Answers{}, fmt.Errorf("hit %s item %s: choice %q invalid", h.ID, it.Key, raw)
 			}
-			ans.Values[it.Key] = relation.NewString(raw)
+			vals = append(vals, relation.NewString(raw))
 		}
 	default:
 		return Answers{}, fmt.Errorf("hit %s: unsupported response kind %v", h.ID, h.Response.Kind)
 	}
-	return ans, nil
+	return Answers{WorkerID: workerID, Values: vals}, nil
 }
 
 func parseFieldValue(kind relation.Kind, raw string) (relation.Value, error) {
@@ -254,21 +253,32 @@ func parseFieldValue(kind relation.Kind, raw string) (relation.Value, error) {
 }
 
 // EncodeAnswers is the inverse of ParseForm for the simulated crowd and
-// the HTTP task UI: it renders typed Answers as the url.Values a browser
-// would submit for this HIT's form.
+// the HTTP task UI: it renders a typed answer sheet as the url.Values a
+// browser would submit for this HIT's form. A position the sheet does
+// not reach encodes as NULL.
 func EncodeAnswers(h *HIT, ans Answers) url.Values {
 	form := url.Values{}
 	form.Set("hit", h.ID)
+	at := func(i int) relation.Value {
+		if i < len(ans.Values) {
+			return ans.Values[i]
+		}
+		return relation.Null
+	}
 	switch h.Response.Kind {
 	case qlang.ResponseJoinColumns:
-		for key, v := range ans.Values {
-			if v.Truthy() {
-				form.Set(itemName("m", key), "match")
+		i := 0
+		for _, l := range h.Left {
+			for _, r := range h.Right {
+				if at(i).Truthy() {
+					form.Set(itemName("m", PairKey(l.Key, r.Key)), "match")
+				}
+				i++
 			}
 		}
 	case qlang.ResponseForm:
-		for _, it := range h.Items {
-			v := ans.Values[it.Key]
+		for i, it := range h.Items {
+			v := at(i)
 			if len(h.Response.Fields) == 1 {
 				form.Set(itemName("f", it.Key+"\x1e"+h.Response.Fields[0].Label), rawText(v))
 				continue
@@ -278,24 +288,24 @@ func EncodeAnswers(h *HIT, ans Answers) url.Values {
 			}
 		}
 	case qlang.ResponseYesNo:
-		for _, it := range h.Items {
-			if ans.Values[it.Key].Truthy() {
+		for i, it := range h.Items {
+			if at(i).Truthy() {
 				form.Set(itemName("yn", it.Key), "yes")
 			} else {
 				form.Set(itemName("yn", it.Key), "no")
 			}
 		}
 	case qlang.ResponseRating:
-		for _, it := range h.Items {
-			form.Set(itemName("r", it.Key), strconv.FormatInt(ans.Values[it.Key].Int(), 10))
+		for i, it := range h.Items {
+			form.Set(itemName("r", it.Key), strconv.FormatInt(at(i).Int(), 10))
 		}
 	case qlang.ResponseOrder:
-		for _, it := range h.Items {
-			form.Set(itemName("o", it.Key), strconv.FormatInt(ans.Values[it.Key].Int()+1, 10))
+		for i, it := range h.Items {
+			form.Set(itemName("o", it.Key), strconv.FormatInt(at(i).Int()+1, 10))
 		}
 	case qlang.ResponseChoice:
-		for _, it := range h.Items {
-			form.Set(itemName("c", it.Key), ans.Values[it.Key].Str())
+		for i, it := range h.Items {
+			form.Set(itemName("c", it.Key), at(i).Str())
 		}
 	}
 	return form

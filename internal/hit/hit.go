@@ -1,8 +1,8 @@
 // Package hit models Human Intelligence Tasks: the unit of work Qurk
 // posts to the (simulated) MTurk marketplace. It mirrors the paper's HIT
 // Compiler: a task (or a batch of tasks) is compiled into an HTML form a
-// turker fills out, and the submitted form is decoded back into typed
-// answer values keyed by the task that asked the question.
+// turker fills out, and the submitted form is decoded back into a typed
+// answer sheet: one value per question, in the HIT's answer order.
 package hit
 
 import (
@@ -13,8 +13,8 @@ import (
 	"repro/internal/relation"
 )
 
-// Item is one batched sub-question inside a HIT. Key routes the answer
-// back to the originating task; Args are the values rendered for the
+// Item is one batched sub-question inside a HIT. Key names the question
+// in the form and on the wire; Args are the values rendered for the
 // worker (e.g. the company name, or the two images of a join pair).
 //
 // Task and Prompt are set when several *different* operators share one
@@ -71,8 +71,8 @@ func SplitPairKey(key string) (left, right string, ok bool) {
 	return key[:i], key[i+1:], true
 }
 
-// Keys returns every routing key this HIT will answer: item keys, or all
-// pair keys for a JoinColumns HIT.
+// Keys returns every routing key this HIT will answer, in answer order:
+// item keys, or all pair keys (row-major) for a JoinColumns HIT.
 func (h *HIT) Keys() []string {
 	if h.Response.Kind == qlang.ResponseJoinColumns {
 		keys := make([]string, 0, len(h.Left)*len(h.Right))
@@ -101,13 +101,18 @@ func (h *HIT) QuestionCount() int {
 	return len(h.Items)
 }
 
-// Answers maps routing keys to the typed value a worker produced.
-// For form/tuple tasks the value is a KindTuple; for filters and join
-// pairs a KindBool; for ratings a KindInt; for order responses a KindInt
-// rank (0 = first).
+// Answers is one assignment's answer sheet: Values holds the typed
+// value a worker produced for each question, by position in the HIT's
+// answer order — Items in order, or for a JoinColumns HIT every
+// Left×Right pair row-major (Left[0] with each Right item, then Left[1],
+// ...), the order of Keys. For form/tuple tasks a value is a KindTuple;
+// for filters and join pairs a KindBool; for ratings a KindInt; for
+// order responses a KindInt rank (0 = first). Routing keys appear only
+// where answers cross a wire or a form (ParseForm, EncodeAnswers, the
+// HTTP backend), which convert between keys and positions.
 type Answers struct {
 	WorkerID string
-	Values   map[string]relation.Value
+	Values   []relation.Value
 }
 
 // RenderText substitutes a task's %s placeholders with the item's
@@ -116,21 +121,27 @@ func RenderText(template string, textArgs []string, params []qlang.Param, args [
 	if !strings.Contains(template, "%s") {
 		return template
 	}
-	// Map parameter name -> argument position.
-	pos := make(map[string]int, len(params))
-	for i, p := range params {
-		pos[strings.ToLower(p.Name)] = i
-	}
 	subs := make([]interface{}, 0, len(textArgs))
 	for _, name := range textArgs {
-		i, ok := pos[strings.ToLower(name)]
-		if !ok || i >= len(args) {
+		i := paramIndex(params, name)
+		if i < 0 || i >= len(args) {
 			subs = append(subs, "?")
 			continue
 		}
 		subs = append(subs, displayValue(args[i]))
 	}
 	return fmt.Sprintf(strings.ReplaceAll(template, "%s", "%v"), subs...)
+}
+
+// paramIndex returns the position of the parameter named name (case
+// insensitively; the last one wins), or -1.
+func paramIndex(params []qlang.Param, name string) int {
+	for i := len(params) - 1; i >= 0; i-- {
+		if strings.EqualFold(params[i].Name, name) {
+			return i
+		}
+	}
+	return -1
 }
 
 func displayValue(v relation.Value) string {

@@ -190,12 +190,12 @@ func TestCompileEscapesHTML(t *testing.T) {
 
 func TestFormRoundTripForm(t *testing.T) {
 	h := questionHIT()
-	want := Answers{WorkerID: "w1", Values: map[string]relation.Value{
-		"t1": relation.NewTuple(
+	want := Answers{WorkerID: "w1", Values: []relation.Value{
+		relation.NewTuple(
 			relation.Field{Name: "CEO", Value: relation.NewString("Ada Lovelace")},
 			relation.Field{Name: "Phone", Value: relation.NewString("555-0100")},
 		),
-		"t2": relation.NewTuple(
+		relation.NewTuple(
 			relation.Field{Name: "CEO", Value: relation.NewString("Grace Hopper")},
 			relation.Field{Name: "Phone", Value: relation.NewString("555-0101")},
 		),
@@ -205,28 +205,29 @@ func TestFormRoundTripForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, v := range want.Values {
-		if !got.Values[k].Equal(v) {
-			t.Errorf("key %s: %v != %v", k, got.Values[k], v)
+	for i, v := range want.Values {
+		if !got.Values[i].Equal(v) {
+			t.Errorf("item %s: %v != %v", h.Items[i].Key, got.Values[i], v)
 		}
 	}
 }
 
 func TestFormRoundTripJoin(t *testing.T) {
 	h := joinHIT()
-	want := Answers{Values: map[string]relation.Value{
-		PairKey("c1", "s1"): relation.NewBool(true),
-		PairKey("c2", "s1"): relation.NewBool(false),
-	}}
+	// Pairs in row-major order: (c1,s1), (c2,s1).
+	want := Answers{Values: []relation.Value{relation.NewBool(true), relation.NewBool(false)}}
 	form := EncodeAnswers(h, want)
+	if form.Get(itemName("m", PairKey("c1", "s1"))) != "match" {
+		t.Errorf("position 0 must encode pair (c1,s1): %v", form)
+	}
 	got, err := ParseForm(h, form, "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Values[PairKey("c1", "s1")].Bool() {
+	if !got.Values[0].Bool() {
 		t.Error("matched pair lost")
 	}
-	if got.Values[PairKey("c2", "s1")].Bool() {
+	if got.Values[1].Bool() {
 		t.Error("unmatched pair must decode false")
 	}
 }
@@ -246,14 +247,12 @@ func ratingHIT() *HIT {
 
 func TestFormRoundTripRating(t *testing.T) {
 	h := ratingHIT()
-	want := Answers{Values: map[string]relation.Value{
-		"a": relation.NewInt(4), "b": relation.NewInt(1),
-	}}
+	want := Answers{Values: []relation.Value{relation.NewInt(4), relation.NewInt(1)}}
 	got, err := ParseForm(h, EncodeAnswers(h, want), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Values["a"].Int() != 4 || got.Values["b"].Int() != 1 {
+	if got.Values[0].Int() != 4 || got.Values[1].Int() != 1 {
 		t.Errorf("ratings = %v", got.Values)
 	}
 }
@@ -283,16 +282,14 @@ func orderHIT(n int) *HIT {
 
 func TestFormRoundTripOrder(t *testing.T) {
 	h := orderHIT(3)
-	want := Answers{Values: map[string]relation.Value{
-		"a": relation.NewInt(2), "b": relation.NewInt(0), "c": relation.NewInt(1),
-	}}
+	want := Answers{Values: []relation.Value{relation.NewInt(2), relation.NewInt(0), relation.NewInt(1)}}
 	got, err := ParseForm(h, EncodeAnswers(h, want), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, v := range want.Values {
-		if got.Values[k].Int() != v.Int() {
-			t.Errorf("order %s = %v, want %v", k, got.Values[k], v)
+	for i, v := range want.Values {
+		if got.Values[i].Int() != v.Int() {
+			t.Errorf("order %s = %v, want %v", h.Items[i].Key, got.Values[i], v)
 		}
 	}
 }
@@ -314,12 +311,12 @@ func TestFormRoundTripYesNoAndChoice(t *testing.T) {
 		Items:       []Item{{Key: "x", Args: []relation.Value{relation.NewImage("x.png")}}},
 		RewardCents: 1, Assignments: 1,
 	}
-	want := Answers{Values: map[string]relation.Value{"x": relation.NewBool(true)}}
+	want := Answers{Values: []relation.Value{relation.NewBool(true)}}
 	got, err := ParseForm(yn, EncodeAnswers(yn, want), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Values["x"].Bool() {
+	if !got.Values[0].Bool() {
 		t.Error("yes lost")
 	}
 	// Unanswered yes/no is an error, not a default.
@@ -334,13 +331,13 @@ func TestFormRoundTripYesNoAndChoice(t *testing.T) {
 		Items:       []Item{{Key: "s", Args: []relation.Value{relation.NewString("great!")}}},
 		RewardCents: 1, Assignments: 1,
 	}
-	wantC := Answers{Values: map[string]relation.Value{"s": relation.NewString("pos")}}
+	wantC := Answers{Values: []relation.Value{relation.NewString("pos")}}
 	gotC, err := ParseForm(ch, EncodeAnswers(ch, wantC), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotC.Values["s"].Str() != "pos" {
-		t.Errorf("choice = %v", gotC.Values["s"])
+	if gotC.Values[0].Str() != "pos" {
+		t.Errorf("choice = %v", gotC.Values[0])
 	}
 	bad := url.Values{}
 	bad.Set("c_s", "meh")
@@ -358,13 +355,13 @@ func TestSingleFieldFormDecodesScalar(t *testing.T) {
 		Items:       []Item{{Key: "k", Args: []relation.Value{relation.NewImage("k.png")}}},
 		RewardCents: 1, Assignments: 1,
 	}
-	want := Answers{Values: map[string]relation.Value{"k": relation.NewString("a cat")}}
+	want := Answers{Values: []relation.Value{relation.NewString("a cat")}}
 	got, err := ParseForm(h, EncodeAnswers(h, want), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Values["k"].Kind() != relation.KindString || got.Values["k"].Str() != "a cat" {
-		t.Errorf("scalar form = %v", got.Values["k"])
+	if got.Values[0].Kind() != relation.KindString || got.Values[0].Str() != "a cat" {
+		t.Errorf("scalar form = %v", got.Values[0])
 	}
 }
 
@@ -375,8 +372,72 @@ func TestEmptyFormFieldDecodesNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := got.Values["t1"]
+	v := got.Values[0]
 	if !v.Field("CEO").IsNull() {
 		t.Errorf("empty input should be NULL, got %v", v)
+	}
+}
+
+// Every response kind round-trips ParseForm(EncodeAnswers(sheet)) on
+// the positional shape: the decoded sheet has one value per question,
+// in answer order, equal to the encoded one. The 2×2 join grid pins
+// row-major pair order.
+func TestAnswerSheetRoundTripEveryResponseKind(t *testing.T) {
+	grid := joinHIT()
+	grid.Right = append(grid.Right, Item{Key: "s2", Args: []relation.Value{relation.NewImage("s2.png")}})
+	single := &HIT{ID: "HS", Task: "caption", Type: qlang.TaskGenerative,
+		Response: qlang.Response{Kind: qlang.ResponseForm,
+			Fields: []qlang.FormField{{Label: "Caption", Kind: relation.KindString}}},
+		Items:       []Item{{Key: "k1"}, {Key: "k2"}},
+		RewardCents: 1, Assignments: 1}
+	yn := &HIT{ID: "HY", Task: "isCat", Type: qlang.TaskFilter,
+		Response: qlang.Response{Kind: qlang.ResponseYesNo},
+		Items:    []Item{{Key: "x"}, {Key: "y"}, {Key: "z"}}, RewardCents: 1, Assignments: 1}
+	choice := &HIT{ID: "HC", Task: "sentiment", Type: qlang.TaskQuestion,
+		Response: qlang.Response{Kind: qlang.ResponseChoice, Options: []string{"pos", "neg"}},
+		Items:    []Item{{Key: "s"}, {Key: "u"}}, RewardCents: 1, Assignments: 1}
+	tuple := func(ceo, phone string) relation.Value {
+		return relation.NewTuple(relation.Field{Name: "CEO", Value: relation.NewString(ceo)},
+			relation.Field{Name: "Phone", Value: relation.NewString(phone)})
+	}
+	b, i, s := relation.NewBool, relation.NewInt, relation.NewString
+	cases := []struct {
+		name  string
+		h     *HIT
+		sheet []relation.Value
+	}{
+		{"form", questionHIT(), []relation.Value{tuple("Ada", "1"), tuple("Grace", "2")}},
+		{"form/single-field", single, []relation.Value{s("a cat"), s("two dogs")}},
+		{"yesno", yn, []relation.Value{b(false), b(true), b(false)}},
+		{"rating", ratingHIT(), []relation.Value{i(5), i(2)}},
+		{"order", orderHIT(4), []relation.Value{i(3), i(0), i(2), i(1)}},
+		{"choice", choice, []relation.Value{s("neg"), s("pos")}},
+		{"joincolumns", grid, []relation.Value{b(false), b(true), b(true), b(false)}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if len(c.sheet) != c.h.QuestionCount() {
+				t.Fatalf("sheet has %d values for %d questions", len(c.sheet), c.h.QuestionCount())
+			}
+			got, err := ParseForm(c.h, EncodeAnswers(c.h, Answers{WorkerID: "w", Values: c.sheet}), "w")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Values) != len(c.sheet) {
+				t.Fatalf("decoded %d values, want %d", len(got.Values), len(c.sheet))
+			}
+			keys := c.h.Keys()
+			for k, want := range c.sheet {
+				if !got.Values[k].Equal(want) {
+					t.Errorf("position %d (key %q) = %v, want %v", k, keys[k], got.Values[k], want)
+				}
+			}
+		})
+	}
+	// Row-major: position 1 is (c1, s2), position 2 is (c2, s1).
+	form := EncodeAnswers(grid, Answers{Values: cases[len(cases)-1].sheet})
+	if form.Get(itemName("m", PairKey("c1", "s2"))) != "match" || form.Get(itemName("m", PairKey("c2", "s1"))) != "match" ||
+		form.Get(itemName("m", PairKey("c1", "s1"))) != "" {
+		t.Errorf("grid positions are not row-major: %v", form)
 	}
 }

@@ -29,6 +29,20 @@
 // pump goroutine itself (the single-threaded harness pattern — see
 // internal/load), no such races exist and the whole simulation is a
 // pure function of its seeds.
+//
+// # Quiescence
+//
+// The engine schedules from many goroutines: executor producers submit
+// tuples while the pump runs HIT events, and a callback on the pump
+// wakes operators that then submit follow-up work. Run therefore
+// advances virtual time only at quiescence: it steps only while the
+// clock's Activity tracker (internal/quiesce) counts no running
+// participant, and each event runs under a count of its own, so work an
+// event sets off completes, up to its next block on the crowd, before
+// the next event fires. An ungated pump would pop whatever is queued
+// while executor goroutines are still about to schedule earlier work,
+// and batch boundaries, worker assignment and latencies would depend on
+// how the Go scheduler interleaved them.
 package mturk
 
 import (
@@ -37,6 +51,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/quiesce"
 )
 
 // VirtualTime is simulated time since the start of the run.
@@ -126,13 +142,36 @@ type Clock struct {
 	waiting atomic.Bool
 
 	pace pace // optional real-time rate (see SetPace)
+
+	// active counts the running goroutines that may still schedule
+	// work at the current virtual time; Run steps only while it is zero.
+	active *quiesce.Tracker
 }
 
 // NewClock returns a clock at virtual time zero.
 func NewClock() *Clock {
-	return &Clock{
+	c := &Clock{
 		shards: make([]clockShard, clockShardCount()),
 		wake:   make(chan struct{}, 1),
+	}
+	c.active = quiesce.NewTracker(c.nudge)
+	return c
+}
+
+// Activity returns the tracker of the goroutines Run waits for before
+// it advances virtual time (nil for a nil clock).
+func (c *Clock) Activity() *quiesce.Tracker {
+	if c == nil {
+		return nil
+	}
+	return c.active
+}
+
+// nudge wakes a Run loop that is waiting for new events or for the
+// participants to block.
+func (c *Clock) nudge() {
+	if c.waiting.CompareAndSwap(true, false) {
+		c.wakeAll()
 	}
 }
 
@@ -158,9 +197,7 @@ func (c *Clock) Schedule(delay time.Duration, fn func()) {
 	heap.Push(&sh.events, e)
 	sh.mu.Unlock()
 	c.schedVersion.Add(1)
-	if c.waiting.CompareAndSwap(true, false) {
-		c.wakeAll()
-	}
+	c.nudge()
 }
 
 // wakeAll nudges any blocked Run loop. The one-slot channel makes it
@@ -197,7 +234,28 @@ func (c *Clock) Pending() int {
 // virtual now — observably the same as having scheduled just after the
 // popped event fired, which is the only honest ordering for a schedule
 // that overlaps the pop.
-func (c *Clock) Step() bool {
+//
+// The event runs as a participant of Activity, so an operator it wakes
+// through a tracked primitive keeps Run from stepping until that
+// operator blocks again. Step itself does not wait for quiescence; Run
+// does.
+func (c *Clock) Step() bool { return c.step(false) == stepRan }
+
+// stepResult is what one step attempt did.
+type stepResult int
+
+const (
+	stepRan   stepResult = iota // popped and ran an event
+	stepEmpty                   // no event pending
+	stepBusy                    // gated: a participant is still running
+)
+
+// step runs the earliest event. With gated set it declines while any
+// participant is active. The check is made under the lock of the shard
+// holding the chosen event: a participant takes its count before it
+// schedules, so an event it scheduled is never popped ahead of work it
+// has yet to schedule.
+func (c *Clock) step(gated bool) stepResult {
 	const maxRescans = 4
 	for attempt := 0; ; attempt++ {
 		version := c.schedVersion.Load()
@@ -219,7 +277,7 @@ func (c *Clock) Step() bool {
 			if c.schedVersion.Load() != version {
 				continue // an insert raced the empty scan; look again
 			}
-			return false
+			return stepEmpty
 		}
 		if attempt < maxRescans && c.schedVersion.Load() != version {
 			continue // something landed mid-scan; re-establish the minimum
@@ -232,6 +290,10 @@ func (c *Clock) Step() bool {
 			sh.mu.Unlock()
 			continue
 		}
+		if gated && c.active.Active() {
+			sh.mu.Unlock()
+			return stepBusy
+		}
 		e := heap.Pop(&sh.events).(*event)
 		sh.mu.Unlock()
 		if at := int64(e.at); at > c.now.Load() {
@@ -240,16 +302,20 @@ func (c *Clock) Step() bool {
 		fn := e.fn
 		*e = event{}
 		eventPool.Put(e)
-		fn() // run outside all locks so events may Schedule more events
-		return true
+		// Run outside all locks so events may Schedule more events.
+		c.active.Hold()
+		fn()
+		c.active.Release()
+		return stepRan
 	}
 }
 
 // Run pumps events until stop reports true and the event queue is idle.
-// When the queue is momentarily empty but stop is still false — executor
-// goroutines run concurrently with the pump and may be about to post new
-// HITs — Run waits for a Schedule wakeup, with a short real-time poll as
-// a liveness backstop for the window where stop flips without any final
+// It steps only at quiescence: while any Activity participant runs, Run
+// waits for the last one to block. When the queue is momentarily empty
+// but stop is still false — a caller may be about to start more work —
+// Run waits for a Schedule wakeup, with a short real-time poll as a
+// liveness backstop for the window where stop flips without any final
 // event.
 func (c *Clock) Run(stop func() bool) {
 	var poll *time.Timer
@@ -265,17 +331,25 @@ func (c *Clock) Run(stop func() bool) {
 				continue
 			}
 		}
-		if c.Step() {
+		res := c.step(true)
+		if res == stepRan {
 			continue
-		}
-		if stop() {
-			return
 		}
 		if c.closed.Load() {
 			return
 		}
+		if res == stepEmpty && stop() {
+			return
+		}
 		c.waiting.Store(true)
-		if c.Pending() > 0 {
+		if c.Pending() > 0 && !c.active.Active() {
+			c.waiting.Store(false)
+			continue
+		}
+		if res == stepBusy {
+			// The last participant to block releases its count and
+			// nudges; Close nudges too.
+			<-c.wake
 			c.waiting.Store(false)
 			continue
 		}

@@ -371,6 +371,10 @@ func (m *Marketplace) SubmitExternal(hitID string, ans hit.Answers) error {
 	if !open {
 		return fmt.Errorf("mturk: HIT %s has no open assignments", hitID)
 	}
+	// The answer's callbacks run on the submitter's goroutine, which
+	// takes part in the clock's activity while they do.
+	m.clock.active.Hold()
+	defer m.clock.active.Release()
 	m.complete(hitID, ans, true)
 	return nil
 }

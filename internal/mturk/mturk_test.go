@@ -165,9 +165,9 @@ func (p *fakePool) Claim(h *hit.HIT, now VirtualTime) (Claim, bool) {
 			if abandon {
 				return hit.Answers{}, errors.New("abandoned")
 			}
-			vals := make(map[string]relation.Value)
-			for _, k := range h.Keys() {
-				vals[k] = relation.NewBool(true)
+			vals := make([]relation.Value, h.QuestionCount())
+			for i := range vals {
+				vals[i] = relation.NewBool(true)
 			}
 			return hit.Answers{Values: vals}, nil
 		},
@@ -310,7 +310,7 @@ func TestSubmitExternal(t *testing.T) {
 		results = append(results, r)
 		mu.Unlock()
 	})
-	ans := hit.Answers{Values: map[string]relation.Value{"k1": relation.NewBool(false)}}
+	ans := hit.Answers{Values: []relation.Value{relation.NewBool(false)}}
 	if err := m.SubmitExternal(h.ID, ans); err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,17 @@
 // Volcano exchange operator the paper cites: each operator consumes from
 // input queues and pushes to its parent's queue, so slow HITs in one part
 // of the plan never block unrelated progress.
+//
+// A queue blocks its producers and consumers as participants of a
+// quiesce.Tracker, so the virtual clock that drives the crowd does not
+// advance while a handed-over tuple is still being processed.
 package queue
 
 import (
 	"errors"
 	"sync"
 
+	"repro/internal/quiesce"
 	"repro/internal/relation"
 )
 
@@ -20,8 +25,8 @@ var ErrClosed = errors.New("queue: closed")
 // Pop returns ok=false once drained.
 type Queue struct {
 	mu       sync.Mutex
-	notFull  *sync.Cond
-	notEmpty *sync.Cond
+	notFull  *quiesce.Cond
+	notEmpty *quiesce.Cond
 	buf      []relation.Tuple
 	head     int
 	count    int
@@ -33,14 +38,16 @@ type Queue struct {
 	popped int64
 }
 
-// New creates a queue with the given capacity (minimum 1).
-func New(capacity int) *Queue {
+// New creates a queue with the given capacity (minimum 1). Its blocked
+// Push and Pop calls are tracked blocks of t's participants (see
+// package quiesce); a nil t tracks nothing.
+func New(capacity int, t *quiesce.Tracker) *Queue {
 	if capacity < 1 {
 		capacity = 1
 	}
 	q := &Queue{buf: make([]relation.Tuple, capacity)}
-	q.notFull = sync.NewCond(&q.mu)
-	q.notEmpty = sync.NewCond(&q.mu)
+	q.notFull = quiesce.NewCond(&q.mu, t)
+	q.notEmpty = quiesce.NewCond(&q.mu, t)
 	return q
 }
 

@@ -15,7 +15,7 @@ func tup(i int64) relation.Tuple {
 }
 
 func TestFIFOOrder(t *testing.T) {
-	q := New(4)
+	q := New(4, nil)
 	for i := int64(0); i < 4; i++ {
 		if err := q.Push(tup(i)); err != nil {
 			t.Fatal(err)
@@ -30,7 +30,7 @@ func TestFIFOOrder(t *testing.T) {
 }
 
 func TestWrapAround(t *testing.T) {
-	q := New(2)
+	q := New(2, nil)
 	for round := int64(0); round < 10; round++ {
 		if err := q.Push(tup(round)); err != nil {
 			t.Fatal(err)
@@ -43,7 +43,7 @@ func TestWrapAround(t *testing.T) {
 }
 
 func TestCloseSemantics(t *testing.T) {
-	q := New(4)
+	q := New(4, nil)
 	_ = q.Push(tup(1))
 	q.Close()
 	q.Close() // idempotent
@@ -63,7 +63,7 @@ func TestCloseSemantics(t *testing.T) {
 }
 
 func TestPushBlocksUntilPop(t *testing.T) {
-	q := New(1)
+	q := New(1, nil)
 	if err := q.Push(tup(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestPushBlocksUntilPop(t *testing.T) {
 }
 
 func TestPushBlockedWokenByClose(t *testing.T) {
-	q := New(1)
+	q := New(1, nil)
 	_ = q.Push(tup(1))
 	done := make(chan error)
 	go func() { done <- q.Push(tup(2)) }()
@@ -92,7 +92,7 @@ func TestPushBlockedWokenByClose(t *testing.T) {
 }
 
 func TestPopBlockedWokenByClose(t *testing.T) {
-	q := New(1)
+	q := New(1, nil)
 	done := make(chan bool)
 	go func() {
 		_, ok := q.Pop()
@@ -105,7 +105,7 @@ func TestPopBlockedWokenByClose(t *testing.T) {
 }
 
 func TestTryPushTryPop(t *testing.T) {
-	q := New(1)
+	q := New(1, nil)
 	if !q.TryPush(tup(1)) {
 		t.Fatal("TryPush on empty failed")
 	}
@@ -131,7 +131,7 @@ func TestTryPushTryPop(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	q := New(8)
+	q := New(8, nil)
 	for i := int64(0); i < 5; i++ {
 		_ = q.Push(tup(i))
 	}
@@ -146,7 +146,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestDrain(t *testing.T) {
-	q := New(4)
+	q := New(4, nil)
 	go func() {
 		for i := int64(0); i < 10; i++ {
 			_ = q.Push(tup(i))
@@ -165,7 +165,7 @@ func TestDrain(t *testing.T) {
 }
 
 func TestConcurrentProducersConsumers(t *testing.T) {
-	q := New(3)
+	q := New(3, nil)
 	const producers, per = 4, 100
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -212,7 +212,7 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 // counts balance.
 func TestFIFOProperty(t *testing.T) {
 	f := func(sizes []uint8) bool {
-		q := New(4)
+		q := New(4, nil)
 		var want []int64
 		go func() {
 			for i, s := range sizes {
@@ -241,7 +241,7 @@ func TestFIFOProperty(t *testing.T) {
 }
 
 func TestNewMinimumCapacity(t *testing.T) {
-	q := New(0)
+	q := New(0, nil)
 	if !q.TryPush(tup(1)) {
 		t.Fatal("capacity must be at least 1")
 	}

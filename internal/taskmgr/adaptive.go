@@ -119,25 +119,28 @@ func (m *Manager) workerPrior(worker string) (acc, weight float64) {
 	return num / weight, weight
 }
 
-// votesByItem rebuilds per-item vote lists (in item order, so fits are
-// deterministic) from the collected per-worker answer sheets, skipping
-// items whose share detached. Called under the stripe lock or after the
-// HIT left the in-flight table.
-func (fl *flight) votesByItem() (items [][]infer.Vote, keys []string) {
-	live := fl.live()
-	items = make([][]infer.Vote, 0, len(live))
-	keys = make([]string, 0, len(live))
-	for _, it := range live {
-		var votes []infer.Vote
+// votesByItem rebuilds per-item vote lists (in answer order, so fits
+// are deterministic) from the collected per-worker answer sheets,
+// skipping items whose share detached; pos[k] is the answer position of
+// items[k]. Called under the stripe lock or after the HIT left the
+// in-flight table.
+func (fl *flight) votesByItem() (items [][]infer.Vote, pos []int) {
+	items = make([][]infer.Vote, 0, len(fl.items))
+	pos = make([]int, 0, len(fl.items))
+	for i, it := range fl.items {
+		if !fl.owed(it) {
+			continue
+		}
+		votes := make([]infer.Vote, 0, len(fl.byWorker))
 		for _, wa := range fl.byWorker {
-			if v, ok := wa.Values[it.key]; ok {
-				votes = append(votes, infer.Vote{Worker: wa.WorkerID, Value: v})
+			if i < len(wa.Values) {
+				votes = append(votes, infer.Vote{Worker: wa.WorkerID, Value: wa.Values[i]})
 			}
 		}
 		items = append(items, votes)
-		keys = append(keys, it.key)
+		pos = append(pos, i)
 	}
-	return items, keys
+	return items, pos
 }
 
 // itemsConfident reports whether every live item's posterior has

@@ -33,9 +33,10 @@ type flight struct {
 	cost   budget.Cents // total charged (sum of shares, plus extensions)
 	reward int64        // per-assignment price
 
-	// items are the HIT's items in resolution order — batch and grouped
-	// items in HIT order, grid pairs row-major. An item whose done is nil
-	// (a grid pair no caller waits on) is still cached and journaled.
+	// items are the HIT's items in answer order — batch and grouped items
+	// in HIT order, grid pairs row-major — so item i is answered at
+	// position i of every answer sheet. An item whose done is nil (a
+	// grid pair no caller waits on) is still cached and journaled.
 	items []pendingItem
 	// ranked, when set, makes this an ordering-shaped (comparison) HIT:
 	// it receives every complete ranking instead of per-item outcomes.
@@ -120,7 +121,8 @@ func (t *flightTable) stripeFor(hitID string) *flightStripe {
 func (m *Manager) newFlight(st *taskState, def *qlang.TaskDef, pol Policy, assign int, items []pendingItem) *flight {
 	price := m.priceFor(def, pol)
 	return &flight{state: st, items: items, reward: price, cost: budget.Cents(price * int64(assign)),
-		needed: assign, assign: assign, capA: pol.Assignments, backend: m.servingBackend(def)}
+		byWorker: make([]hit.Answers, 0, assign),
+		needed:   assign, assign: assign, capA: pol.Assignments, backend: m.servingBackend(def)}
 }
 
 // detached reports whether sc withdrew its stake from this shared HIT.
@@ -133,27 +135,33 @@ func (fl *flight) detached(sc *Scope) bool {
 	return false
 }
 
-// live returns the items still owed an answer: those of scopes that
-// have not detached. Only shared HITs detach.
+// owed reports whether an item is still owed an answer: its scope has
+// not detached. Only shared HITs detach.
+func (fl *flight) owed(it pendingItem) bool {
+	return len(fl.shares) < 2 || !fl.detached(it.scope)
+}
+
+// live returns the items still owed an answer.
 func (fl *flight) live() []pendingItem {
 	if len(fl.shares) < 2 {
 		return fl.items
 	}
 	out := make([]pendingItem, 0, len(fl.items))
 	for _, it := range fl.items {
-		if !fl.detached(it.scope) {
+		if fl.owed(it) {
 			out = append(out, it)
 		}
 	}
 	return out
 }
 
-// votes collects the answers given for one item key, in arrival order.
-func (fl *flight) votes(key string) []relation.Value {
-	var out []relation.Value
+// votes collects the answers given at one answer position, in arrival
+// order.
+func (fl *flight) votes(pos int) []relation.Value {
+	out := make([]relation.Value, 0, len(fl.byWorker))
 	for _, wa := range fl.byWorker {
-		if v, ok := wa.Values[key]; ok {
-			out = append(out, v)
+		if pos < len(wa.Values) {
+			out = append(out, wa.Values[pos])
 		}
 	}
 	return out
@@ -401,6 +409,9 @@ func splitCost(total budget.Cents, counts []int) []budget.Cents {
 // shareOut groups items by scope in first-appearance order and splits
 // the HIT cost across the groups by item count.
 func shareOut(items []pendingItem, cost budget.Cents) []hitShare {
+	if oneScope(items) {
+		return []hitShare{{scope: items[0].scope, cost: cost}}
+	}
 	var shares []hitShare
 	var counts []int
 	idx := make(map[*Scope]int, 1)
@@ -418,6 +429,16 @@ func shareOut(items []pendingItem, cost budget.Cents) []hitShare {
 		shares[i].cost = c
 	}
 	return shares
+}
+
+// oneScope reports whether every item belongs to the first item's scope.
+func oneScope(items []pendingItem) bool {
+	for _, it := range items[1:] {
+		if it.scope != items[0].scope {
+			return false
+		}
+	}
+	return true
 }
 
 // post sends a HIT to the marketplace, via the test hook when one is
@@ -466,8 +487,9 @@ func (m *Manager) onAssignment(res mturk.AssignmentResult) {
 }
 
 // onAssignmentFailed reduces a HIT's expected assignment count; when
-// nothing more can arrive the HIT finalizes with whatever it has, or
-// fails its callers when it has nothing.
+// nothing more can arrive the HIT refunds the slots that never
+// completed, then finalizes with whatever it has, or fails its callers
+// when it has nothing.
 func (m *Manager) onAssignmentFailed(hitID string, err error) {
 	s := m.flights.stripeFor(hitID)
 	s.mu.Lock()
@@ -482,7 +504,15 @@ func (m *Manager) onAssignmentFailed(hitID string, err error) {
 		return
 	}
 	delete(s.flights, hitID)
+	refunds, total := fl.takeUnconsumed()
+	m.traceRefund(fl, total)
 	s.mu.Unlock()
+	for _, r := range refunds {
+		r.scope.refund(r.cost)
+	}
+	if total > 0 {
+		m.account.Refund(total)
+	}
 	m.retire(fl)
 	if fl.received == 0 {
 		m.traceHITFailed(fl, err, true)
@@ -528,13 +558,13 @@ func (m *Manager) finalize(fl *flight) {
 	// evidence. The fit reads the same votes in the same order as the
 	// adaptive loop's confidence checks, so the finalized answer is the
 	// posterior that stopped the extensions.
-	var posts map[string]infer.Posterior
+	var posts []*infer.Posterior // by answer position; nil where no fit ran
 	if em, ok := fl.agg.(*infer.EM); ok {
-		items, keys := fl.votesByItem()
+		items, pos := fl.votesByItem()
 		ps, accs := em.Fit(items, fl.boolTask)
-		posts = make(map[string]infer.Posterior, len(keys))
-		for i, key := range keys {
-			posts[key] = ps[i]
+		posts = make([]*infer.Posterior, len(fl.items))
+		for k, i := range pos {
+			posts[i] = &ps[k]
 		}
 		m.noteWorkerQuality(accs)
 	}
@@ -547,15 +577,19 @@ func (m *Manager) finalize(fl *flight) {
 	// A grouped HIT's cache and training decisions follow the HIT's
 	// (lead) task policy; its statistics go to each item's own task.
 	pol := st.policyIn(m.basePolicy(), nil, 0)
-	var resolved []resolution
+	resolved := make([]resolution, 0, len(fl.items))
 	var agreeSum float64
-	items := fl.live()
-	for _, it := range items {
-		answers := fl.votes(it.key)
+	n := 0
+	for i, it := range fl.items {
+		if !fl.owed(it) {
+			continue
+		}
+		n++
+		answers := fl.votes(i)
 		out := reduce(it.def, answers)
-		if p, ok := posts[it.key]; ok && len(answers) > 0 {
-			out.Value = p.Value
-			out.Agreement = p.Confidence
+		if posts != nil && posts[i] != nil && len(answers) > 0 {
+			out.Value = posts[i].Value
+			out.Agreement = posts[i].Confidence
 		}
 		its := m.taskOf(st, it.def)
 		its.agreement.Observe(out.Agreement)
@@ -563,7 +597,7 @@ func (m *Manager) finalize(fl *flight) {
 		boolean := isBooleanTask(it.def)
 		if boolean {
 			its.observeSelectivity(out.Value.Truthy(), it.side)
-			m.noteWorkerVotes(fl.byWorker, it.key, out.Value.Truthy())
+			m.noteWorkerVotes(fl.byWorker, i, out.Value.Truthy())
 		}
 		if pol.UseCache {
 			m.cache.Put(cache.NewKey(it.def.Name, it.args), cache.Entry{Answers: answers})
@@ -580,8 +614,8 @@ func (m *Manager) finalize(fl *flight) {
 			resolved = append(resolved, resolution{done: it.done, out: out})
 		}
 	}
-	if len(items) > 0 {
-		m.observeBackend(fl.backend, fl.hit.Type, fl.reward, latencyMin, agreeSum/float64(len(items)))
+	if n > 0 {
+		m.observeBackend(fl.backend, fl.hit.Type, fl.reward, latencyMin, agreeSum/float64(n))
 	}
 	resolveAll(resolved)
 }
@@ -652,6 +686,27 @@ func (m *Manager) cancelScopeHIT(hitID string, sc *Scope, cause error) {
 	}
 	fl.fail(cause)
 	m.retire(fl)
+}
+
+// takeUnconsumed withdraws, from each live share, the charge for
+// assignment slots that will never complete — a HIT retired short after
+// terminal assignment failures — and returns what each share's scope
+// and the account are owed back, as a cancel refunds, so the manager's
+// spend matches what the backend paid. Detached shares were refunded
+// their unconsumed slots when they detached. Stripe lock held.
+func (fl *flight) takeUnconsumed() (refunds []hitShare, total budget.Cents) {
+	for i := range fl.shares {
+		sh := &fl.shares[i]
+		if sh.detached {
+			continue
+		}
+		if r := unconsumed(sh.cost, fl.assign, fl.received); r > 0 {
+			sh.cost -= r
+			refunds = append(refunds, hitShare{scope: sh.scope, cost: r})
+			total += r
+		}
+	}
+	return refunds, total
 }
 
 // unconsumed is the slice of a share's cost covering assignments that

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -246,7 +247,8 @@ func TestLedgerReconcilesEveryHITKind(t *testing.T) {
 		reward = 2
 		assign = 3
 	)
-	outcomes := []string{"completes", "scope cancel mid-HIT", "terminal assignment failure", "post failure"}
+	outcomes := []string{"completes", "scope cancel mid-HIT", "terminal assignment failure",
+		"partial assignment failure", "post failure"}
 	for _, kind := range ledgerKinds {
 		for _, outcome := range outcomes {
 			t.Run(kind.name+"/"+outcome, func(t *testing.T) {
@@ -270,6 +272,11 @@ func TestLedgerReconcilesEveryHITKind(t *testing.T) {
 				switch outcome {
 				case "terminal assignment failure":
 					m.market.SetWorkerFilter(func(string) bool { return false })
+				case "partial assignment failure":
+					// Only the first claim is eligible: one assignment
+					// completes, the others fail terminally.
+					var claims atomic.Int64
+					m.market.SetWorkerFilter(func(string) bool { return claims.Add(1) == 1 })
 				case "post failure":
 					hook := func(*hit.HIT) error { return errors.New("injected outage") }
 					m.postHook.Store(&hook)
@@ -307,6 +314,15 @@ func TestLedgerReconcilesEveryHITKind(t *testing.T) {
 					if cb.errs != want {
 						t.Fatalf("%d of %d callbacks failed, want all", cb.errs, want)
 					}
+					refund = cost - m.Account().Spent()
+					wantRefund = cost
+				case "partial assignment failure":
+					runUntil(t, clock, func() bool { return cb.total() == want })
+					if cb.errs != 0 {
+						t.Fatalf("%d callbacks failed; one assignment arrived", cb.errs)
+					}
+					refund = cost - m.Account().Spent()
+					wantRefund = (assign - 1) * reward
 				case "post failure":
 					refund = cost - m.Account().Spent()
 					wantRefund = cost
@@ -322,6 +338,9 @@ func TestLedgerReconcilesEveryHITKind(t *testing.T) {
 				}
 				if got := m.Account().Spent(); got != sum || got != cost-refund {
 					t.Errorf("ledger: account %v, scopes sum %v, want both %v", got, sum, cost-refund)
+				}
+				if got, paid := m.Account().Spent(), m.market.Stats().SpentCents; got != paid {
+					t.Errorf("manager spent %v, backend paid %v", got, paid)
 				}
 				if cb.total() != want || len(cb.fired) != want {
 					t.Errorf("callbacks: %d fired over %d keys, want %d exactly once each", cb.total(), len(cb.fired), want)

@@ -233,7 +233,7 @@ func (m *Manager) traceExtension(s *flightStripe, hitID string, fl *flight, pric
 // to the submitting operators, inference posteriors (when an EM fit
 // resolved the answers) are annotated in HIT item order, and the
 // round-trip and extension-depth distributions observe the completion.
-func (m *Manager) traceHITDone(fl *flight, latencyMin float64, posts map[string]infer.Posterior) {
+func (m *Manager) traceHITDone(fl *flight, latencyMin float64, posts []*infer.Posterior) {
 	sp := fl.span
 	if sp == nil {
 		return
@@ -241,9 +241,9 @@ func (m *Manager) traceHITDone(fl *flight, latencyMin float64, posts map[string]
 	for _, op := range fl.opSpans {
 		op.AddAssignments(int64(fl.assign))
 	}
-	if len(posts) > 0 {
-		for _, hi := range fl.hit.Items {
-			if p, ok := posts[hi.Key]; ok {
+	if posts != nil {
+		for i, hi := range fl.hit.Items {
+			if p := posts[i]; p != nil {
 				sp.Annotate("posterior."+hi.Key, fmt.Sprintf("%v p=%.3f", p.Value, p.Confidence))
 			}
 		}
@@ -260,29 +260,37 @@ func (m *Manager) traceHITDone(fl *flight, latencyMin float64, posts map[string]
 	}
 }
 
-// traceHITCanceled records a cancellation's refund on the HIT span and
-// annotates the unconsumed extension spans with the remainder each gave
-// back — the pro-rata refund walks the last-purchased slots first, the
-// ones that cannot have completed yet. expired marks full expiry (the
-// span ends and the in-flight gauge drops); a shared-HIT detach leaves
-// the span open for the surviving participants.
+// traceRefund records a refund of unconsumed assignment slots on the
+// HIT span and annotates the unconsumed extension spans with the
+// remainder each gave back — the pro-rata refund walks the
+// last-purchased slots first, the ones that cannot have completed yet.
+func (m *Manager) traceRefund(fl *flight, refund budget.Cents) {
+	sp := fl.span
+	if sp == nil || refund <= 0 {
+		return
+	}
+	sp.AddRefund(int64(refund))
+	slots := fl.assign - fl.received
+	for i := len(fl.extSpans) - 1; i >= 0 && slots > 0; i-- {
+		fl.extSpans[i].Annotate("refunded_remainder_cents",
+			strconv.FormatInt(fl.hit.RewardCents, 10))
+		slots--
+	}
+	if reg := m.obsRegistry(); reg != nil {
+		reg.Counter(obs.MetricRefundCents, obs.L("task", fl.hit.Task)).Add(int64(refund))
+	}
+}
+
+// traceHITCanceled records a cancellation's refund (traceRefund).
+// expired marks full expiry (the span ends and the in-flight gauge
+// drops); a shared-HIT detach leaves the span open for the surviving
+// participants.
 func (m *Manager) traceHITCanceled(fl *flight, refund budget.Cents, expired bool) {
 	sp := fl.span
 	if sp == nil {
 		return
 	}
-	if refund > 0 {
-		sp.AddRefund(int64(refund))
-		slots := fl.assign - fl.received
-		for i := len(fl.extSpans) - 1; i >= 0 && slots > 0; i-- {
-			fl.extSpans[i].Annotate("refunded_remainder_cents",
-				strconv.FormatInt(fl.hit.RewardCents, 10))
-			slots--
-		}
-		if reg := m.obsRegistry(); reg != nil {
-			reg.Counter(obs.MetricRefundCents, obs.L("task", fl.hit.Task)).Add(int64(refund))
-		}
-	}
+	m.traceRefund(fl, refund)
 	if expired {
 		sp.Annotate("canceled", "true")
 		sp.End()

@@ -74,19 +74,14 @@ func (m *Manager) finalizeRanking(fl *flight, latencyMin float64, j Journal) {
 	}
 	rankings := make([]Ranking, 0, len(fl.byWorker))
 	for _, ans := range fl.byWorker {
+		if len(ans.Values) < len(keys) {
+			continue // incomplete sheet: not a ranking
+		}
 		r := Ranking{WorkerID: ans.WorkerID, Rank: make(map[string]int, len(keys))}
-		complete := true
-		for _, key := range keys {
-			v, ok := ans.Values[key]
-			if !ok {
-				complete = false
-				break
-			}
-			r.Rank[key] = int(v.Int())
+		for i, key := range keys {
+			r.Rank[key] = int(ans.Values[i].Int())
 		}
-		if complete {
-			rankings = append(rankings, r)
-		}
+		rankings = append(rankings, r)
 	}
 
 	// Pairwise agreement across assignments: for every item pair, the

@@ -23,11 +23,12 @@ type workerRecord struct {
 	agreed int64
 }
 
-// noteWorkerVotes credits or strikes every worker who answered key on
-// this HIT, based on the majority outcome. It takes the dedicated
-// reputation lock (never m.mu) so the marketplace's worker filter can
-// consult reputations while the manager is posting under m.mu.
-func (m *Manager) noteWorkerVotes(byWorker []hit.Answers, key string, majority bool) {
+// noteWorkerVotes credits or strikes every worker who answered the
+// question at answer position pos of this HIT, based on the majority
+// outcome. It takes the dedicated reputation lock (never m.mu) so the
+// marketplace's worker filter can consult reputations while the
+// manager is posting under m.mu.
+func (m *Manager) noteWorkerVotes(byWorker []hit.Answers, pos int, majority bool) {
 	j := m.getJournal()
 	m.repMu.Lock()
 	type vote struct {
@@ -36,10 +37,10 @@ func (m *Manager) noteWorkerVotes(byWorker []hit.Answers, key string, majority b
 	}
 	var votes []vote
 	for _, wa := range byWorker {
-		v, ok := wa.Values[key]
-		if !ok || wa.WorkerID == "" {
+		if pos >= len(wa.Values) || wa.WorkerID == "" {
 			continue
 		}
+		v := wa.Values[pos]
 		rec, ok := m.workers[wa.WorkerID]
 		if !ok {
 			rec = &workerRecord{}

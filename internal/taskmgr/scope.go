@@ -41,6 +41,10 @@ type Scope struct {
 	queued   budget.Cents    // provisional cost of admission-queued batches
 	hits     map[string]bool // open HIT IDs posted for this scope
 	label    string          // optional metrics label (per-scope series)
+	// admitted is the scope's fair-share history: batch HITs the
+	// admission scheduler admitted for it. Guarded by the manager's
+	// sched.mu, not mu.
+	admitted int64
 
 	// span is the owning query's trace span (SetSpan); read on posting
 	// paths without mu, hence atomic.

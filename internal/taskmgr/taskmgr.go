@@ -12,9 +12,10 @@
 // roll back on failure), one completion and failure path, one
 // finalization and one scope-cancel/refund path. A record carries one
 // of two answer shapes: item-wise HITs (batches, grouped HITs, grid
-// pairs) resolve each item key through its own callback; ordering HITs
-// (comparisons) hand every complete ranking to one callback. Only
-// batch HITs pass the admission scheduler (sched.go).
+// pairs) resolve each item through its own callback, reading position
+// i of every answer sheet for item i; ordering HITs (comparisons) hand
+// every complete ranking to one callback. Only batch HITs pass the
+// admission scheduler (sched.go).
 //
 // Concurrency: the manager has no global lock on its hot paths. Each
 // task's batching state carries its own mutex, flight records are
@@ -790,6 +791,9 @@ func (st *taskState) cutBatchesLocked(base Policy, force bool) [][]pendingItem {
 		}
 		st.pending = append(st.pending, items...)
 	}
+	// Drop the cut items from the reused array, so it does not keep
+	// finished queries' callbacks and scopes reachable.
+	clear(st.pending[len(st.pending):cap(st.pending)])
 	return batches
 }
 
@@ -845,13 +849,20 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 	// linger flush or the admission queue may still carry them, and in
 	// a shared batch the other scopes' items must run regardless —
 	// without paying for the canceled ones.
-	live := make([]pendingItem, 0, len(batch))
-	for _, it := range batch {
-		if cause := it.scope.Err(); cause != nil {
-			failItems([]pendingItem{it}, cause)
+	live := batch
+	for i, it := range batch {
+		if it.scope.Err() == nil {
 			continue
 		}
-		live = append(live, it)
+		live = append(make([]pendingItem, 0, len(batch)), batch[:i]...)
+		for _, it := range batch[i:] {
+			if cause := it.scope.Err(); cause != nil {
+				failItems([]pendingItem{it}, cause)
+				continue
+			}
+			live = append(live, it)
+		}
+		break
 	}
 	if len(live) == 0 {
 		return false
@@ -862,7 +873,8 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 	fl.agg, fl.adaptive, fl.boolTask, fl.target = agg, adaptive, isBooleanTask(def), target
 	return m.launch(fl, nil, func(items []pendingItem) *hit.HIT {
 		h := &hit.HIT{Task: def.Name, Type: def.Type, Title: def.Name,
-			Question: batchQuestion(def, items), Response: responseFor(def)}
+			Question: batchQuestion(def, items), Response: responseFor(def),
+			Items: make([]hit.Item, 0, len(items))}
 		for _, it := range items {
 			prompt := it.prompt
 			if prompt == "" && len(items) > 1 {
