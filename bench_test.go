@@ -229,7 +229,7 @@ func BenchmarkLoadHarness(b *testing.B) {
 	}
 	b.ReportMetric(rep.HITsPerSec, "HITs/sec")
 	b.ReportMetric(rep.P99.Minutes(), "p99_vmin")
-	b.ReportMetric(rep.DollarsPerQuery, "dollars/query")
+	b.ReportMetric(float64(rep.Spent)/100, "dollars/query")
 }
 
 // BenchmarkE11SpamDefense measures the reputation blocklist extension.

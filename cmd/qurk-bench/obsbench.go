@@ -37,9 +37,9 @@ type obsRun struct {
 	// its on-disk size.
 	Spans      int64 `json:"spans"`
 	TraceBytes int64 `json:"trace_bytes"`
-	// SameFinger is true when HITs, spend, makespan, and the passing-key
-	// fingerprint were identical across the untraced and traced runs —
-	// the proof that arming the tracer changed nothing.
+	// SameFinger is true when every virtual-time field of the untraced
+	// and traced reports agreed (load.VirtualDiff) — the proof that
+	// arming the tracer changed nothing.
 	SameFinger bool `json:"fingerprints_match"`
 }
 
@@ -87,9 +87,7 @@ func runObsBench(seed int64, scale int) error {
 			SpentCents:     int64(on.Spent),
 			Spans:          spans,
 			TraceBytes:     bytes,
-			SameFinger: off.HITs == on.HITs && off.Spent == on.Spent &&
-				off.Makespan == on.Makespan && off.Passed == on.Passed &&
-				off.PassedKeysFNV == on.PassedKeysFNV,
+			SameFinger:     load.VirtualDiff(off, on) == nil,
 		}
 		if offMs > 0 {
 			r.OverheadPct = (onMs - offMs) / offMs * 100

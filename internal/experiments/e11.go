@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/load"
 	"repro/internal/relation"
 	"repro/internal/taskmgr"
 	"repro/internal/workload"
@@ -29,9 +30,8 @@ func E11SpamDefense(nPerPhase int, seed int64) Table {
 	cfg.Workers = 20
 	cfg.SpamFraction = 0.3
 	cfg.MeanSkill = 0.95
-	e := mustEngine(core.Config{}, cfg, ds)
+	e := must(load.NewEngine(core.Config{Crowd: cfg}, taskDefs, ds))
 	defer e.Close()
-	defineAll(e)
 	def := taskOf(e, "isCat")
 	setAssignments := func(n int) {
 		p := taskmgr.DefaultPolicy()

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/load"
 	"repro/internal/relation"
 	"repro/internal/taskmgr"
 	"repro/internal/workload"
@@ -17,15 +18,14 @@ import (
 func E1Pipeline(seed int64) Table {
 	companies := workload.Companies(6, seed)
 	celebs := workload.Celebrities(4, 8, 0.5, seed+1)
-	e := mustEngine(core.Config{}, defaultCrowd(seed), companies, celebs)
+	e := must(load.NewEngine(core.Config{Crowd: defaultCrowd(seed)}, taskDefs, companies, celebs))
 	defer e.Close()
-	defineAll(e)
 
-	r1, err := queryAndWait(e, query1)
+	r1, _, err := load.Query(e, query1, nil)
 	if err != nil {
 		panic(err)
 	}
-	r2, err := queryAndWait(e, query2)
+	r2, _, err := load.Query(e, query2, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -70,9 +70,8 @@ func submittedTotal(e *core.Engine) int64 {
 // UDFs on a tuple": Query 1 runs three times; runs 2-3 must be free.
 func E2Cache(nCompanies int, seed int64) Table {
 	ds := workload.Companies(nCompanies, seed)
-	e := mustEngine(core.Config{}, defaultCrowd(seed), ds)
+	e := must(load.NewEngine(core.Config{Crowd: defaultCrowd(seed)}, taskDefs, ds))
 	defer e.Close()
-	defineAll(e)
 
 	t := Table{
 		ID:      "E2",
@@ -84,7 +83,7 @@ func E2Cache(nCompanies int, seed int64) Table {
 	var prevSpent int64
 	for run := 1; run <= 3; run++ {
 		before := e.Clock().Now()
-		if _, err := queryAndWait(e, query1); err != nil {
+		if _, _, err := load.Query(e, query1, nil); err != nil {
 			panic(err)
 		}
 		s := e.Manager().StatsFor("findceo")
@@ -132,8 +131,7 @@ func E3JoinInterfaces(nCelebs, nSpotted int, seed int64) Table {
 	}
 	for _, v := range variants {
 		ds := workload.Celebrities(nCelebs, nSpotted, 0.4, seed)
-		e := mustEngine(core.Config{Exec: v.cfg}, defaultCrowd(seed), ds)
-		defineAll(e)
+		e := must(load.NewEngine(core.Config{Exec: v.cfg, Crowd: defaultCrowd(seed)}, taskDefs, ds))
 		if v.pairwise {
 			// Batch 5 pair questions per HIT.
 			pol := taskmgr.DefaultPolicy()
@@ -141,7 +139,7 @@ func E3JoinInterfaces(nCelebs, nSpotted int, seed int64) Table {
 			e.Manager().SetPolicy("samePerson", pol)
 		}
 		start := e.Clock().Now()
-		rows, err := queryAndWait(e, query2)
+		rows, _, err := load.Query(e, query2, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -207,13 +205,13 @@ func precisionRecallF1(predicted, truth map[string]bool) (p, r, f1 float64) {
 func E4TaskModel(batches, perBatch int, seed int64) Table {
 	ds := workload.Photos(batches*perBatch, 0.5, 0.5, seed)
 	photos := ds.Tables[0].Snapshot()
-	e := mustEngine(core.Config{
+	e := must(load.NewEngine(core.Config{
+		Crowd:              defaultCrowd(seed),
 		AttachModels:       true,
 		ModelMinExamples:   perBatch, // eligible after the first batch
 		ModelMinConfidence: 0.85,
-	}, defaultCrowd(seed), ds)
+	}, taskDefs, ds))
 	defer e.Close()
-	defineAll(e)
 
 	t := Table{
 		ID:      "E4",
@@ -235,7 +233,7 @@ func E4TaskModel(batches, perBatch int, seed int64) Table {
 		if err := e.Register(batchTab); err != nil {
 			panic(err)
 		}
-		rows, err := queryAndWait(e, fmt.Sprintf(`SELECT img FROM photos_b%d WHERE isCat(img)`, b))
+		rows, _, err := load.Query(e, fmt.Sprintf(`SELECT img FROM photos_b%d WHERE isCat(img)`, b), nil)
 		if err != nil {
 			panic(err)
 		}
@@ -289,14 +287,13 @@ func E5PreFilter(nCelebs, nSpotted int, seed int64) Table {
 		withFilter := vc.withFilter
 		ds := workload.Celebrities(nCelebs, nSpotted, 0.4, seed)
 		clearOracle := clearOracleFor()
-		e := mustEngine(core.Config{Oracle: clearOracle,
-			Exec: exec.Config{JoinPairwise: vc.pairwise}}, defaultCrowd(seed), ds)
-		defineAll(e)
+		e := must(load.NewEngine(core.Config{Oracle: clearOracle,
+			Exec: exec.Config{JoinPairwise: vc.pairwise}, Crowd: defaultCrowd(seed)}, taskDefs, ds))
 		query := query2
 		if withFilter {
 			query = `SELECT celebrities.name, spottedstars.id FROM celebrities, spottedstars WHERE isClear(spottedstars.image) AND samePerson(celebrities.image, spottedstars.image)`
 		}
-		rows, err := queryAndWait(e, query)
+		rows, _, err := load.Query(e, query, nil)
 		if err != nil {
 			panic(err)
 		}

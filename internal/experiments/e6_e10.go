@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/load"
 	"repro/internal/qlang"
 	"repro/internal/relation"
 	"repro/internal/stats"
@@ -28,12 +29,11 @@ func E6Redundancy(nPhotos int, seed int64) Table {
 		cfg := defaultCrowd(seed)
 		cfg.MeanSkill = 0.8
 		cfg.SpamFraction = 0.08
-		e := mustEngine(core.Config{}, cfg, ds)
-		defineAll(e)
+		e := must(load.NewEngine(core.Config{Crowd: cfg}, taskDefs, ds))
 		pol := taskmgr.DefaultPolicy()
 		pol.Assignments = n
 		e.Manager().SetPolicy("isCat", pol)
-		rows, err := queryAndWait(e, `SELECT img FROM photos WHERE isCat(img)`)
+		rows, _, err := load.Query(e, `SELECT img FROM photos WHERE isCat(img)`, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -82,9 +82,9 @@ func E7Adaptive(nPhotos int, seed int64) Table {
 	}
 	run := func(name string, cfg core.Config) {
 		ds := workload.Photos(nPhotos, 0.15, 0.9, seed)
-		e := mustEngine(cfg, defaultCrowd(seed), ds)
-		defineAll(e)
-		if _, err := queryAndWait(e, `SELECT img FROM photos WHERE isOutdoor(img) AND isCat(img)`); err != nil {
+		cfg.Crowd = defaultCrowd(seed)
+		e := must(load.NewEngine(cfg, taskDefs, ds))
+		if _, _, err := load.Query(e, `SELECT img FROM photos WHERE isOutdoor(img) AND isCat(img)`, nil); err != nil {
 			panic(err)
 		}
 		cat := e.Manager().StatsFor("iscat")
@@ -139,13 +139,12 @@ func E8Batching(nPhotos int, seed int64) Table {
 	}
 	for _, b := range []int{1, 2, 5, 10} {
 		ds := workload.Photos(nPhotos, 0.5, 0.5, seed)
-		e := mustEngine(core.Config{}, defaultCrowd(seed), ds)
-		defineAll(e)
+		e := must(load.NewEngine(core.Config{Crowd: defaultCrowd(seed)}, taskDefs, ds))
 		pol := taskmgr.DefaultPolicy()
 		pol.BatchSize = b
 		e.Manager().SetPolicy("isCat", pol)
 		start := e.Clock().Now()
-		rows, err := queryAndWait(e, `SELECT img FROM photos WHERE isCat(img)`)
+		rows, _, err := load.Query(e, `SELECT img FROM photos WHERE isCat(img)`, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -161,10 +160,9 @@ func E8Batching(nPhotos int, seed int64) Table {
 	}
 	// Operator grouping: isCat AND isOutdoor share each tuple's HIT.
 	ds := workload.Photos(nPhotos, 0.5, 0.5, seed)
-	e := mustEngine(core.Config{Exec: exec.Config{GroupFilters: true}}, defaultCrowd(seed), ds)
-	defineAll(e)
+	e := must(load.NewEngine(core.Config{Exec: exec.Config{GroupFilters: true}, Crowd: defaultCrowd(seed)}, taskDefs, ds))
 	start := e.Clock().Now()
-	if _, err := queryAndWait(e, `SELECT img FROM photos WHERE isCat(img) AND isOutdoor(img)`); err != nil {
+	if _, _, err := load.Query(e, `SELECT img FROM photos WHERE isCat(img) AND isOutdoor(img)`, nil); err != nil {
 		panic(err)
 	}
 	latency := (e.Clock().Now() - start).Minutes()
@@ -196,9 +194,8 @@ func E9Sort(nItems int, seed int64) Table {
 
 	// Rating-based: ORDER BY squareScore(img).
 	ds := workload.RankItems(nItems, 9, "squareScore", seed)
-	e := mustEngine(core.Config{}, defaultCrowd(seed), ds)
-	defineAll(e)
-	rows, err := queryAndWait(e, `SELECT img, truth FROM items ORDER BY squareScore(img)`)
+	e := must(load.NewEngine(core.Config{Crowd: defaultCrowd(seed)}, taskDefs, ds))
+	rows, _, err := load.Query(e, `SELECT img, truth FROM items ORDER BY squareScore(img)`, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -211,8 +208,7 @@ func E9Sort(nItems int, seed int64) Table {
 	// Comparison-based: all-pairs "better" questions, Copeland count.
 	ds = workload.RankItems(nItems, 9, "squareScore", seed)
 	cmpOracle := workload.CompareOracle(ds.Tables[0], "better")
-	e = mustEngine(core.Config{Oracle: cmpOracle}, defaultCrowd(seed), ds)
-	defineAll(e)
+	e = must(load.NewEngine(core.Config{Oracle: cmpOracle, Crowd: defaultCrowd(seed)}, taskDefs, ds))
 	items := ds.Tables[0].Snapshot()
 	betterDef := taskOf(e, "better")
 	wins := make([]int, len(items))
@@ -300,10 +296,9 @@ func E10Async(nPhotos int, seed int64) Table {
 
 	// Async: the real executor.
 	ds := workload.Photos(nPhotos, 0.6, 0.6, seed)
-	e := mustEngine(core.Config{}, defaultCrowd(seed), ds)
-	defineAll(e)
+	e := must(load.NewEngine(core.Config{Crowd: defaultCrowd(seed)}, taskDefs, ds))
 	start := e.Clock().Now()
-	if _, err := queryAndWait(e, `SELECT img FROM photos WHERE isCat(img) AND isOutdoor(img)`); err != nil {
+	if _, _, err := load.Query(e, `SELECT img FROM photos WHERE isCat(img) AND isOutdoor(img)`, nil); err != nil {
 		panic(err)
 	}
 	asyncMin := (e.Clock().Now() - start).Minutes()
@@ -314,8 +309,7 @@ func E10Async(nPhotos int, seed int64) Table {
 	// Blocking iterator baseline: one tuple at a time, one predicate at
 	// a time, waiting for each HIT before continuing.
 	ds = workload.Photos(nPhotos, 0.6, 0.6, seed)
-	e = mustEngine(core.Config{}, defaultCrowd(seed), ds)
-	defineAll(e)
+	e = must(load.NewEngine(core.Config{Crowd: defaultCrowd(seed)}, taskDefs, ds))
 	catDef := taskOf(e, "isCat")
 	outDef := taskOf(e, "isOutdoor")
 	start = e.Clock().Now()

@@ -7,14 +7,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/crowd"
-	"repro/internal/relation"
-	"repro/internal/workload"
 )
 
 // Table is one experiment's result, printable as the paper would report
@@ -95,32 +91,13 @@ func defaultCrowd(seed int64) crowd.Config {
 	}
 }
 
-// mustEngine builds an engine over datasets or panics (experiments are
-// driver code; configuration errors are programming errors).
-func mustEngine(cfg core.Config, crowdCfg crowd.Config, datasets ...workload.Dataset) *core.Engine {
-	var oracles []crowd.Oracle
-	for _, ds := range datasets {
-		oracles = append(oracles, ds.Oracle)
-	}
-	if cfg.Oracle == nil {
-		cfg.Oracle = workload.Combine(oracles...)
-	} else {
-		oracles = append(oracles, cfg.Oracle)
-		cfg.Oracle = workload.Combine(oracles...)
-	}
-	cfg.Crowd = crowdCfg
-	e, err := core.New(cfg)
+// must unwraps a driver call (experiments are driver code;
+// configuration and query errors are programming errors).
+func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)
 	}
-	for _, ds := range datasets {
-		for _, tab := range ds.Tables {
-			if err := e.Register(tab); err != nil {
-				panic(err)
-			}
-		}
-	}
-	return e
+	return v
 }
 
 const taskDefs = `
@@ -167,32 +144,9 @@ RETURNS Bool:
   Response: YesNo
 `
 
-// defineAll installs the shared task definitions.
-func defineAll(e *core.Engine) {
-	if err := e.Define(taskDefs); err != nil {
-		panic(err)
-	}
-}
-
 // query1 and query2 are the paper's demo queries, verbatim modulo
 // quoting.
 const (
 	query1 = `SELECT companyName, findCEO(companyName).CEO, findCEO(companyName).Phone FROM companies`
 	query2 = `SELECT celebrities.name, spottedstars.id FROM celebrities, spottedstars WHERE samePerson(celebrities.image, spottedstars.image)`
 )
-
-// queryAndWait drains one query through the context API, returning the
-// rows and the typed terminal error (the experiments' one-call idiom,
-// kept off the deprecated Engine.QueryAndWait shim).
-func queryAndWait(e *core.Engine, sql string) ([]relation.Tuple, error) {
-	rows, err := e.Query(context.Background(), sql)
-	if err != nil {
-		return nil, err
-	}
-	defer rows.Close()
-	var out []relation.Tuple
-	for rows.Next() {
-		out = append(out, rows.Tuple())
-	}
-	return out, rows.Err()
-}

@@ -6,22 +6,17 @@ import (
 )
 
 // TestInferenceSavesAssignments is the acceptance comparison inside one
-// run: the adaptive EM phase reproduces the majority baseline's result
-// set exactly while buying strictly fewer assignments — with the perfect
-// default crowd, exactly MinAssignments per HIT and no extensions.
+// run (Check): the adaptive EM phase reproduces the majority baseline's
+// result set exactly while buying strictly fewer assignments — with the
+// perfect default crowd, exactly MinAssignments per HIT and no
+// extensions.
 func TestInferenceSavesAssignments(t *testing.T) {
 	rep, err := Run(Config{Workload: WorkloadInference, Tuples: 200, Workers: 50, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.PassedKeysFNV != rep.InferBaseFNV || rep.InferBaseFNV == 0 {
-		t.Fatalf("adaptive fingerprint %016x differs from baseline %016x", rep.PassedKeysFNV, rep.InferBaseFNV)
-	}
-	if rep.Assignments >= rep.InferBaseAssignments {
-		t.Fatalf("adaptive bought %d assignments, baseline %d", rep.Assignments, rep.InferBaseAssignments)
-	}
-	if rep.Spent >= rep.InferBaseSpent {
-		t.Fatalf("adaptive spent %v, baseline %v", rep.Spent, rep.InferBaseSpent)
+	if err := Check(rep); err != nil {
+		t.Fatal(err)
 	}
 	// HIT counts may differ by a partial batch — completion timing at 2
 	// vs 3 assignments packs the second-stage batches differently — but
@@ -38,36 +33,10 @@ func TestInferenceSavesAssignments(t *testing.T) {
 	if rep.InferAdaptiveHITs != rep.HITs {
 		t.Fatalf("adaptive HITs = %d of %d posted", rep.InferAdaptiveHITs, rep.HITs)
 	}
-	if rep.InferSavedCents <= 0 {
-		t.Fatalf("no savings booked: %+v", rep)
-	}
 	if rep.Errors != 0 {
 		t.Fatalf("errors = %d", rep.Errors)
 	}
 	if !strings.Contains(rep.String(), "inference") {
 		t.Fatal("report lacks the inference line")
-	}
-}
-
-// TestInferenceRerunIdentical pins the workload's determinism: both
-// phases pump from one goroutine over a seed-pinned perfect crowd, so
-// every virtual-time metric must reproduce.
-func TestInferenceRerunIdentical(t *testing.T) {
-	cfg := Config{Workload: WorkloadInference, Tuples: 150, Workers: 40, Seed: 7}
-	first, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.HITs != again.HITs || first.Assignments != again.Assignments ||
-		first.Spent != again.Spent || first.Makespan != again.Makespan ||
-		first.PassedKeysFNV != again.PassedKeysFNV || first.InferBaseFNV != again.InferBaseFNV ||
-		first.InferBaseHITs != again.InferBaseHITs || first.InferBaseAssignments != again.InferBaseAssignments ||
-		first.InferBaseSpent != again.InferBaseSpent || first.InferExtensions != again.InferExtensions ||
-		first.InferSavedCents != again.InferSavedCents {
-		t.Fatalf("rerun drifted:\nfirst:  %+v\nsecond: %+v", first, again)
 	}
 }

@@ -4,12 +4,18 @@
 // join grids, order-by ratings) against thousands of simulated workers
 // and reports throughput, virtual-time HIT latency percentiles and cost.
 //
+// Every marketplace workload runs its phases on isolated stacks (one
+// builder, one pump: stack.go); streaming and multitenant drive the
+// full engine (NewEngine, Query). Check asserts a run's own contracts
+// and Verify the rerun rule of each workload — the one -verify path of
+// qurk-load and qurk-bench.
+//
 // Determinism: the harness never runs the clock concurrently with
 // submission. All root tasks are submitted first, then the event queue
 // is pumped from a single goroutine (cascade submissions happen inside
 // Done callbacks on that same goroutine), so every virtual-time metric
 // in the Report is a pure function of the Config — identical seeds give
-// byte-identical reports, modulo the real-time Wall/HITsPerSec fields.
+// identical reports, modulo the wall-clock fields.
 package load
 
 import (
@@ -17,7 +23,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/budget"
@@ -27,7 +32,6 @@ import (
 	"repro/internal/qlang"
 	"repro/internal/rank"
 	"repro/internal/relation"
-	"repro/internal/store"
 	"repro/internal/taskmgr"
 	"repro/internal/workload"
 )
@@ -189,169 +193,118 @@ func (c Config) withDefaults() Config {
 	if c.Workload == "" {
 		c.Workload = WorkloadFilter
 	}
-	if c.Workload == WorkloadSort && c.Assignments <= 0 {
+	switch c.Workload {
+	case WorkloadSort:
 		// The sort workload asserts hybrid reproduces compare's exact
 		// order across independently-noised phases; 5-way redundancy
 		// (instead of the generic 3) makes a flipped pair majority
 		// cubically unlikely at the crowd's 0.99 skill ceiling while
 		// leaving HIT counts — what the phases compare — untouched.
-		c.Assignments = 5
-	}
-	if c.Workload == WorkloadMultiTenant && c.Assignments <= 0 {
+		c.Assignments = orInt(c.Assignments, 5)
+	case WorkloadMultiTenant:
 		// Single-assignment HITs: with the workload's exactly-perfect
 		// default crowd, redundancy buys nothing and would only scale
 		// the HIT volume the sharing comparison counts.
-		c.Assignments = 1
-	}
-	if c.Tuples <= 0 {
-		c.Tuples = 1000
-	}
-	if c.Workers <= 0 {
-		c.Workers = 500
-	}
-	if c.Batch <= 0 {
-		c.Batch = 5
-	}
-	if c.Assignments <= 0 {
-		c.Assignments = 3
-	}
-	if c.PriceCents <= 0 {
-		c.PriceCents = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Shards <= 0 {
-		c.Shards = (c.Workers + 63) / 64
-	}
-	if c.StreamWindow <= 0 {
-		c.StreamWindow = 8
-	}
-	if c.Workload == WorkloadMultiTenant {
-		if c.Queries <= 0 {
-			c.Queries = 150
-		}
-		if c.MaxInflight <= 0 {
-			c.MaxInflight = 32
-		}
-		// The -verify harness asserts rerun-identical per-query result
-		// fingerprints however the scheduler interleaves hundreds of
-		// concurrent queries, so the default crowd is exactly perfect:
-		// Skill 1.0 makes every answer equal ground truth regardless of
-		// which worker drew it in what order. Explicit knobs still win.
-		if c.Skill == 0 {
-			c.Skill = 1.0
-		}
-		if c.SkillStd == 0 {
-			c.SkillStd = 1e-12
-		}
-		if c.Spam == 0 {
-			c.Spam = 1e-12
-		}
-		if c.Abandon == 0 {
-			c.Abandon = 1e-12
-		}
-		if c.BatchPenalty == 0 {
-			c.BatchPenalty = 1e-12
-		}
-	}
-	if c.Workload == WorkloadHybridCrowd {
+		c.Assignments = orInt(c.Assignments, 1)
+		c.Queries = orInt(c.Queries, 150)
+		c.MaxInflight = orInt(c.MaxInflight, 32)
+	case WorkloadHybridCrowd:
 		// Routing needs a price gap to exploit: the LLM crowd quotes
 		// half the human reward, so the default reward is 2¢ rather
 		// than the generic 1¢.
 		if c.PriceCents <= 1 {
 			c.PriceCents = 2
 		}
-		// Both phases must reproduce the oracle exactly for their
-		// fingerprints to be comparable, so the default crowd is
-		// exactly perfect, like the multitenant workload's.
-		if c.Skill == 0 {
-			c.Skill = 1.0
-		}
-		if c.SkillStd == 0 {
-			c.SkillStd = 1e-12
-		}
-		if c.Spam == 0 {
-			c.Spam = 1e-12
-		}
-		if c.Abandon == 0 {
-			c.Abandon = 1e-12
-		}
-		if c.BatchPenalty == 0 {
-			c.BatchPenalty = 1e-12
-		}
+	case WorkloadInference:
+		c.MinAssignments = orInt(c.MinAssignments, 2)
 	}
-	if c.Workload == WorkloadInference {
-		if c.MinAssignments <= 0 {
-			c.MinAssignments = 2
-		}
-		// Both phases must reproduce the oracle exactly for their
-		// fingerprints to be comparable, and the adaptive phase's
-		// assignment count should measure the stopping rule rather than
-		// answer noise, so the default crowd is exactly perfect — two
-		// agreeing strangers clear the posterior target and every HIT
-		// stops at the floor. Explicit knobs still win.
-		if c.Skill == 0 {
-			c.Skill = 1.0
-		}
-		if c.SkillStd == 0 {
-			c.SkillStd = 1e-12
-		}
-		if c.Spam == 0 {
-			c.Spam = 1e-12
-		}
-		if c.Abandon == 0 {
-			c.Abandon = 1e-12
-		}
-		if c.BatchPenalty == 0 {
-			c.BatchPenalty = 1e-12
-		}
+	c.Tuples = orInt(c.Tuples, 1000)
+	c.Workers = orInt(c.Workers, 500)
+	c.Batch = orInt(c.Batch, 5)
+	c.Assignments = orInt(c.Assignments, 3)
+	if c.PriceCents <= 0 {
+		c.PriceCents = 1
 	}
+	if c.Seed == 0 {
+		c.Seed = 1
+	}
+	c.Shards = orInt(c.Shards, (c.Workers+63)/64)
+	c.StreamWindow = orInt(c.StreamWindow, 8)
+
+	// Crowd presets; explicit knobs always win. The multitenant,
+	// hybridcrowd and inference workloads compare runs or phases by
+	// result fingerprint, so their crowd is exactly perfect: every
+	// answer equals ground truth whichever worker drew it in whatever
+	// order, and two agreeing strangers clear the inference stopping
+	// target, so the adaptive phase measures the stopping rule rather
+	// than answer noise. The sort and streaming workloads want a
+	// near-perfect crowd — strategy economics and the canceled prefix,
+	// not answer noise, must dominate — with a vanishing skill spread:
+	// the crowd draws worker skill from N(Skill, SkillStd), and the
+	// default 0.08 spread would reintroduce exactly that noise.
+	switch c.Workload {
+	case WorkloadMultiTenant, WorkloadHybridCrowd, WorkloadInference:
+		c.crowdPreset(1.0, 1e-12, 1e-12)
+	case WorkloadSort:
+		c.crowdPreset(0.9999, 1e-9, 1e-9)
+	case WorkloadStreaming:
+		c.crowdPreset(0.999, 1e-9, 1e-9)
+	}
+
 	if c.Workload == WorkloadSort {
 		// Top-k must sit below the comparison group size or the
 		// selection tournament cannot shrink its groups and top-k
 		// degenerates to full ordering — which would also fail the
-		// workload's topk<compare acceptance check, so oversized
-		// requests are clamped rather than honored.
-		sortGroupSize := rank.GroupSizeFor(sortTasks())
-		if c.TopK <= 0 {
-			c.TopK = 3
-		}
-		if c.TopK >= sortGroupSize {
-			c.TopK = sortGroupSize - 1
-		}
-		if c.TopK > c.Tuples {
-			c.TopK = c.Tuples
-		}
-		// The sort workload compares strategy economics and asserts
-		// hybrid reproduces compare's exact order, so its default crowd
-		// is near-perfect (explicit knobs still win) — the same posture
-		// the joinprefilter-vs-join comparison documents.
-		if c.Skill == 0 {
-			c.Skill = 0.9999
-		}
-		if c.SkillStd == 0 {
-			// The crowd draws worker skill from N(Skill, SkillStd); the
-			// default 0.08 spread would reintroduce exactly the noise
-			// this workload pins down.
-			c.SkillStd = 1e-9
-		}
-		if c.Spam == 0 {
-			c.Spam = 1e-12
-		}
-		if c.Abandon == 0 {
-			c.Abandon = 1e-12
-		}
-		if c.BatchPenalty == 0 {
-			c.BatchPenalty = 1e-9
-		}
+		// workload's topk<compare check, so oversized requests are
+		// clamped rather than honored.
+		c.TopK = min(orInt(c.TopK, 3), rank.GroupSizeFor(sortTasks())-1, c.Tuples)
 	}
 	return c
 }
 
+// crowdPreset fills the accuracy knobs left at zero: mean skill, its
+// spread and the per-question batch decay as given, vanishing spam and
+// abandonment.
+func (c *Config) crowdPreset(skill, spread, decay float64) {
+	c.Skill = orFloat(c.Skill, skill)
+	c.SkillStd = orFloat(c.SkillStd, spread)
+	c.Spam = orFloat(c.Spam, 1e-12)
+	c.Abandon = orFloat(c.Abandon, 1e-12)
+	c.BatchPenalty = orFloat(c.BatchPenalty, decay)
+}
+
+// crowdConfig is the simulated worker population the run's Config
+// describes.
+func (c Config) crowdConfig() crowd.Config {
+	return crowd.Config{
+		Workers:      c.Workers,
+		Shards:       c.Shards,
+		Seed:         c.Seed,
+		MeanSkill:    c.Skill,
+		SkillStd:     c.SkillStd,
+		SpamFraction: c.Spam,
+		AbandonRate:  c.Abandon,
+		BatchPenalty: c.BatchPenalty,
+	}
+}
+
+func orInt(v, fallback int) int {
+	if v > 0 {
+		return v
+	}
+	return fallback
+}
+
+func orFloat(v, fallback float64) float64 {
+	if v != 0 {
+		return v
+	}
+	return fallback
+}
+
 // Report is one load run's results. All virtual-time fields are
-// deterministic for a given Config; Wall and HITsPerSec measure the
-// real hardware.
+// deterministic for a given Config; Wall, HITsPerSec and Replay
+// measure the real hardware (VirtualDiff compares everything else).
 type Report struct {
 	Config Config
 
@@ -368,8 +321,8 @@ type Report struct {
 	Errors   int64
 	Passed   int64
 
-	// Wall is real elapsed time for the pump; HITsPerSec is completed
-	// HITs per real second (simulator throughput).
+	// Wall is real elapsed time for the pump (every phase); HITsPerSec
+	// is posted HITs per real second (simulator throughput).
 	Wall       time.Duration
 	HITsPerSec float64
 
@@ -379,11 +332,11 @@ type Report struct {
 	P50, P99 time.Duration
 
 	// JoinPairs counts pairs submitted to the join interface (the paid
-	// cross product); PassedKeysFNV fingerprints the sorted passing
-	// pair keys (or, for the warmstart workload, the keys passing the
-	// whole cascade), so two runs over the same dataset can be compared
-	// for identical final result rows. Both are 0 for workloads that
-	// define no fingerprint.
+	// cross product); PassedKeysFNV fingerprints the sorted keys counted
+	// in Passed (cascade survivors, matching pairs, rated items; the
+	// streaming prefix; per-query prints for multitenant), so two runs
+	// over the same dataset can be compared for identical final result
+	// rows.
 	JoinPairs     int64
 	PassedKeysFNV uint64
 
@@ -396,9 +349,6 @@ type Report struct {
 	ReplayedAnswers      int64
 	ReplayedObservations int64
 	Replay               time.Duration
-
-	// DollarsPerQuery is total spend for the whole run in dollars.
-	DollarsPerQuery float64
 
 	// Sort-workload metrics: per-strategy HIT counts and order
 	// fingerprints (each phase runs isolated on identical seeds).
@@ -474,7 +424,7 @@ func (r Report) String() string {
 	fmt.Fprintf(&b, "  throughput    %.0f HITs/sec over %v wall\n", r.HITsPerSec, r.Wall.Round(time.Millisecond))
 	fmt.Fprintf(&b, "  HIT latency   p50=%.1f vmin  p99=%.1f vmin  makespan=%.1f vmin\n",
 		r.P50.Minutes(), r.P99.Minutes(), r.Makespan.Minutes())
-	fmt.Fprintf(&b, "  cost          $%.2f/query\n", r.DollarsPerQuery)
+	fmt.Fprintf(&b, "  cost          $%.2f/query\n", float64(r.Spent)/100)
 	if r.JoinPairs > 0 {
 		fmt.Fprintf(&b, "  join pairs    %d paid (result fingerprint %016x)\n", r.JoinPairs, r.PassedKeysFNV)
 	}
@@ -535,244 +485,135 @@ func mustTask(src string) *qlang.TaskDef {
 // Run executes one load scenario and reports its metrics.
 func Run(cfg Config) (Report, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Workload == WorkloadStreaming {
-		// The streaming scenario exercises the whole engine (context
-		// API, Rows cursor, cancellation) rather than the bare
-		// marketplace + task-manager stack.
+	switch cfg.Workload {
+	case WorkloadStreaming:
 		return runStreaming(cfg)
-	}
-	if cfg.Workload == WorkloadSort {
-		// The sort scenario runs four isolated strategy phases; it has
-		// its own driver (sort.go).
-		return runSort(cfg)
-	}
-	if cfg.Workload == WorkloadMultiTenant {
-		// The multitenant scenario runs concurrent queries through one
-		// engine; it has its own driver (multitenant.go).
+	case WorkloadMultiTenant:
 		return runMultiTenant(cfg)
-	}
-	if cfg.Workload == WorkloadHybridCrowd {
-		// The hybridcrowd scenario runs two isolated phases (sim-only
-		// vs routed); it has its own driver (hybridcrowd.go).
-		return runHybridCrowd(cfg)
-	}
-	if cfg.Workload == WorkloadInference {
-		// The inference scenario runs two isolated phases (majority
-		// baseline vs adaptive EM); it has its own driver (inference.go).
-		return runInference(cfg)
+	case WorkloadSort:
+		return runSort(cfg)
+	case WorkloadHybridCrowd, WorkloadInference:
+		return runPair(cfg)
 	}
 	rep := Report{Config: cfg}
-
-	clock := mturk.NewClock()
-	defer clock.Close()
-
-	var sc scenario
-	var oracle crowd.Oracle
-	switch cfg.Workload {
-	case WorkloadFilter:
-		ds := workload.Photos(cfg.Tuples, 0.5, 0.6, cfg.Seed)
-		oracle = ds.Oracle
-		sc = filterCascade(ds)
-	case WorkloadJoin:
-		ds := celebrityDataset(cfg)
-		oracle = ds.Oracle
-		sc = joinGrids(ds)
-	case WorkloadJoinPreFilter:
-		ds := celebrityDataset(cfg)
-		oracle = ds.Oracle
-		sc = joinPreFilter(ds, cfg)
-	case WorkloadOrderBy:
-		ds := workload.RankItems(cfg.Tuples, 7, "rateItem", cfg.Seed)
-		oracle = ds.Oracle
-		sc = orderByRatings(ds)
-	case WorkloadWarmstart:
-		if cfg.StorePath == "" {
-			return rep, fmt.Errorf("load: workload %q needs Config.StorePath", cfg.Workload)
-		}
-		ds := workload.Photos(cfg.Tuples, 0.5, 0.6, cfg.Seed)
-		oracle = ds.Oracle
-		sc = warmstartCascade(ds)
-	default:
-		return rep, fmt.Errorf("load: unknown workload %q", cfg.Workload)
-	}
-	drive := sc.drive
-
-	pool := crowd.NewPool(crowd.Config{
-		Workers:      cfg.Workers,
-		Shards:       cfg.Shards,
-		Seed:         cfg.Seed,
-		MeanSkill:    cfg.Skill,
-		SkillStd:     cfg.SkillStd,
-		SpamFraction: cfg.Spam,
-		AbandonRate:  cfg.Abandon,
-		BatchPenalty: cfg.BatchPenalty,
-	}, oracle)
-	market := mturk.NewMarketplace(clock, pool)
-	// Collect per-HIT latencies streamingly and let the marketplace drop
-	// completed-HIT state, so runs with tens of thousands of tuples stay
-	// flat in memory. The observer runs on the pump goroutine only.
-	var latencies []time.Duration
-	market.SetAutoDispose(true, func(hs mturk.HITStatus) {
-		latencies = append(latencies, (hs.DoneAt - hs.PostedAt).Duration())
-	})
-	mgr := taskmgr.New(market, nil, nil, nil)
-	sink := newTraceSink(cfg)
-	tr := sink.tracer(clock.Now)
-	if tr != nil {
-		mgr.SetObs(tr)
-	}
-	if cfg.StorePath != "" {
-		replayStart := time.Now()
-		st, err := store.Open(cfg.StorePath)
-		if err != nil {
-			return rep, fmt.Errorf("load: %v", err)
-		}
-		defer st.Close()
-		var warm taskmgr.RestoreSummary
-		st.View(func(s *store.State) { warm = mgr.Restore(s) })
-		mgr.SetJournal(st)
-		rep.Replay = time.Since(replayStart)
-		rep.ReplayedAnswers = warm.CacheAnswers
-		rep.ReplayedObservations = warm.Observations
-	}
-	mgr.SetBasePolicy(taskmgr.Policy{
-		Assignments: cfg.Assignments,
-		BatchSize:   cfg.Batch,
-		PriceCents:  cfg.PriceCents,
-		Linger:      time.Minute,
-		// Without a cache-driven scenario the cache and model never hit
-		// on this synthetic data; skip their bookkeeping so the harness
-		// measures the posting path. The warmstart scenario arms the
-		// cache — that is the point of it.
-		UseCache: sc.useCache,
-		UseModel: false,
-	})
-
-	var ctr counters
-	start := time.Now()
-	drive(mgr, &ctr)
-	mgr.FlushAll()
-	// Pump everything on this goroutine. Cascade submissions happen in
-	// Done callbacks, which run on this goroutine too; their partial
-	// batches are flushed by linger timers (scheduled clock events), so
-	// an empty queue with outstanding work means a genuine stall.
-	for ctr.outstanding.Load() > 0 {
-		if !clock.Step() {
-			mgr.FlushAll()
-			if !clock.Step() {
-				return rep, fmt.Errorf("load: stalled with %d outcomes outstanding", ctr.outstanding.Load())
-			}
-		}
-	}
-	rep.Wall = time.Since(start)
-	rep.Makespan = clock.Now()
-
-	st := market.Stats()
-	rep.HITs = int64(st.HITsPosted)
-	rep.Assignments = int64(st.AssignmentsCompleted)
-	rep.Questions = int64(st.QuestionsAnswered)
-	rep.Spent = st.SpentCents
-	rep.Outcomes = ctr.outcomes.Load()
-	rep.Errors = ctr.errors.Load()
-	rep.Passed = ctr.passed.Load()
-	rep.DollarsPerQuery = float64(rep.Spent) / 100
-
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	if n := len(latencies); n > 0 {
-		rep.P50 = latencies[n/2]
-		rep.P99 = latencies[min(n-1, n*99/100)]
-		if secs := rep.Wall.Seconds(); secs > 0 {
-			rep.HITsPerSec = float64(n) / secs
-		}
-	}
-	rep.JoinPairs = ctr.pairs.Load()
-	rep.CacheServed = mgr.Cache().Stats().Hits
-	if sc.finish != nil {
-		sc.finish(&rep)
-	}
-	sink.collect(tr)
-	if err := sink.flush(); err != nil {
+	sc, oracle, err := newScenario(cfg)
+	if err != nil {
 		return rep, err
 	}
+	var latencies []time.Duration
+	phases, err := runPhases(&rep, oracle, func(_ int, s *stack) (phase, error) {
+		ph, err := s.run(sc)
+		latencies = s.latencies
+		rep.CacheServed = s.mgr.Cache().Stats().Hits
+		rep.Replay, rep.ReplayedAnswers, rep.ReplayedObservations = s.replay, s.warm.CacheAnswers, s.warm.Observations
+		return ph, err
+	}, stored)
+	if err != nil {
+		return rep, err
+	}
+	rep.set(phases[0])
+	rep.JoinPairs = phases[0].Pairs
+	rep.setLatencies(latencies)
 	return rep, nil
+}
+
+// newScenario builds the submission driver and ground truth of the
+// single-phase workloads.
+func newScenario(cfg Config) (scenario, crowd.Oracle, error) {
+	switch cfg.Workload {
+	case WorkloadFilter, WorkloadWarmstart:
+		// Warmstart is the cascade with the Task Cache armed (see
+		// newStack): against a fresh store every question is paid for;
+		// against a store warmed by a previous identical run the cascade
+		// answers from replayed state, pays fewer (typically zero) HITs,
+		// and must reproduce the same fingerprint — cached answers are
+		// the first run's answers, so the majority votes cannot drift.
+		if cfg.Workload == WorkloadWarmstart && cfg.StorePath == "" {
+			return nil, nil, fmt.Errorf("load: workload %q needs Config.StorePath", cfg.Workload)
+		}
+		ds := workload.Photos(cfg.Tuples, 0.5, 0.6, cfg.Seed)
+		return cascade(ds), ds.Oracle, nil
+	case WorkloadJoin:
+		ds := celebrityDataset(cfg)
+		return joinGrids(ds), ds.Oracle, nil
+	case WorkloadJoinPreFilter:
+		ds := celebrityDataset(cfg)
+		return joinPreFilter(ds, cfg), ds.Oracle, nil
+	case WorkloadOrderBy:
+		ds := workload.RankItems(cfg.Tuples, 7, "rateItem", cfg.Seed)
+		return orderByRatings(ds), ds.Oracle, nil
+	}
+	return nil, nil, fmt.Errorf("load: unknown workload %q", cfg.Workload)
 }
 
 // celebrityDataset builds the shared dataset of the two join workloads:
 // identical Tuples+Seed give identical tables and oracle, so their
 // reports are directly comparable.
 func celebrityDataset(cfg Config) workload.Dataset {
-	nCelebs := cfg.Tuples / 10
-	if nCelebs < 5 {
-		nCelebs = 5
-	}
-	return workload.Celebrities(nCelebs, cfg.Tuples, 0.3, cfg.Seed)
+	return workload.Celebrities(max(5, cfg.Tuples/10), cfg.Tuples, 0.3, cfg.Seed)
 }
 
-// scenario bundles a workload's submission driver with an optional
-// post-run report hook (e.g. the join workloads' result fingerprint)
-// and whether the Task Cache is armed.
-type scenario struct {
-	drive    func(*taskmgr.Manager, *counters)
-	finish   func(*Report)
-	useCache bool
-}
+// scenario is a workload's submission driver: it submits the root
+// work, and later stages submit from Done callbacks on the pump
+// goroutine.
+type scenario func(*taskmgr.Manager, *counters)
 
-// fingerprint hashes the sorted passing pair keys: identical result
-// rows give identical fingerprints, whatever order they resolved in.
+// fingerprint hashes the sorted passing keys: identical result rows
+// give identical fingerprints, whatever order they resolved in.
 func fingerprint(passed []string) uint64 {
 	sort.Strings(passed)
+	return orderFingerprint(passed)
+}
+
+// orderFingerprint hashes a key sequence in order (unlike fingerprint,
+// which sorts): two runs agree iff they produced the same total order.
+func orderFingerprint(keys []string) uint64 {
 	h := fnv.New64a()
-	for _, key := range passed {
+	for _, key := range keys {
 		_, _ = h.Write([]byte(key))
 		_, _ = h.Write([]byte{0})
 	}
 	return h.Sum64()
 }
 
-// counters tracks outcome resolution across the run. outstanding gates
-// the pump; the rest feed the report.
+// counters tracks outcome resolution across one phase. outstanding
+// gates the pump; the rest feed the report. Every submission and Done
+// callback runs on the pump goroutine, so no field needs a lock.
 type counters struct {
-	outstanding atomic.Int64
-	outcomes    atomic.Int64
-	errors      atomic.Int64
-	passed      atomic.Int64
-	pairs       atomic.Int64 // join pairs submitted to the grid interface
+	outstanding int64
+	outcomes    int64
+	errors      int64
+	passed      int64
+	pairs       int64    // join pairs submitted to the grid interface
+	keys        []string // passing keys, fingerprinted into the phase
 }
 
-// resolve records one finished outcome (pass marks workload-specific
-// success).
-func (c *counters) resolve(out taskmgr.Outcome, pass bool) {
-	c.outcomes.Add(1)
-	if out.Err != nil {
-		c.errors.Add(1)
-	} else if pass {
-		c.passed.Add(1)
+// resolve records one finished outcome; a non-empty key marks it as
+// passing (a filter survivor, join match or rated item).
+func (c *counters) resolve(out taskmgr.Outcome, key string) {
+	c.outcomes++
+	switch {
+	case out.Err != nil:
+		c.errors++
+	case key != "":
+		c.passed++
+		c.keys = append(c.keys, key)
 	}
-	c.outstanding.Add(-1)
+	c.outstanding--
 }
 
-// filterCascade submits isCat over every photo and isOutdoor over the
-// survivors, mirroring a two-predicate WHERE clause.
-func filterCascade(ds workload.Dataset) scenario {
-	return cascadeScenario(ds, false)
+// passKey is key when a boolean outcome came back true, else "".
+func passKey(out taskmgr.Outcome, key string) string {
+	if out.Value.Truthy() {
+		return key
+	}
+	return ""
 }
 
-// warmstartCascade is the cascade with the Task Cache armed and the
-// result set fingerprinted: against a fresh store every question is
-// paid for; against a store warmed by a previous identical run the
-// cascade answers from replayed state, pays fewer (typically zero)
-// HITs, and must reproduce the same fingerprint — cached answers are
-// the first run's answers, so the majority votes cannot drift.
-func warmstartCascade(ds workload.Dataset) scenario {
-	sc := cascadeScenario(ds, true)
-	sc.useCache = true
-	return sc
-}
-
-// cascadeScenario drives the two-stage filter cascade; withFingerprint
-// additionally records the keys passing both stages into the report's
-// PassedKeysFNV.
-func cascadeScenario(ds workload.Dataset, withFingerprint bool) scenario {
+// cascade submits isCat over every photo and isOutdoor over the
+// survivors, mirroring a two-predicate WHERE clause; the keys passing
+// both stages are the result fingerprint.
+func cascade(ds workload.Dataset) scenario {
 	isCat := mustTask(`
 TASK isCat(Image img)
 RETURNS Bool:
@@ -787,30 +628,21 @@ RETURNS Bool:
   Text: "Was this photo taken outdoors? %s", img
   Response: YesNo
 `)
-	var passed []string
-	sc := scenario{drive: func(mgr *taskmgr.Manager, ctr *counters) {
+	return func(mgr *taskmgr.Manager, ctr *counters) {
 		for _, row := range ds.Tables[0].Snapshot() {
 			img := row.Get("img")
-			ctr.outstanding.Add(1)
+			ctr.outstanding++
 			mgr.Submit(taskmgr.Request{Def: isCat, Args: []relation.Value{img}, Done: func(out taskmgr.Outcome) {
 				if out.Err == nil && out.Value.Truthy() {
-					ctr.outstanding.Add(1)
+					ctr.outstanding++
 					mgr.Submit(taskmgr.Request{Def: isOutdoor, Args: []relation.Value{img}, Done: func(out2 taskmgr.Outcome) {
-						pass := out2.Err == nil && out2.Value.Truthy()
-						if pass && withFingerprint {
-							passed = append(passed, img.Str())
-						}
-						ctr.resolve(out2, pass)
+						ctr.resolve(out2, passKey(out2, img.Str()))
 					}})
 				}
-				ctr.resolve(out, false)
+				ctr.resolve(out, "")
 			}})
 		}
-	}}
-	if withFingerprint {
-		sc.finish = func(rep *Report) { rep.PassedKeysFNV = fingerprint(passed) }
 	}
-	return sc
 }
 
 // joinTasks parses the join workloads' task pair: the samePerson grid
@@ -849,21 +681,16 @@ func joinItems(tab *relation.Table) []taskmgr.JoinItem {
 
 // gridJoin walks left×right in 5×5 blocks, accounting every submitted
 // pair and recording the keys of passing pairs.
-func gridJoin(mgr *taskmgr.Manager, ctr *counters, def *qlang.TaskDef,
-	left, right []taskmgr.JoinItem, passed *[]string) {
+func gridJoin(mgr *taskmgr.Manager, ctr *counters, def *qlang.TaskDef, left, right []taskmgr.JoinItem) {
 	const grid = 5
 	for li := 0; li < len(left); li += grid {
 		lb := left[li:min(li+grid, len(left))]
 		for ri := 0; ri < len(right); ri += grid {
 			rb := right[ri:min(ri+grid, len(right))]
-			ctr.outstanding.Add(int64(len(lb) * len(rb)))
-			ctr.pairs.Add(int64(len(lb) * len(rb)))
+			ctr.outstanding += int64(len(lb) * len(rb))
+			ctr.pairs += int64(len(lb) * len(rb))
 			mgr.JoinBlock(def, lb, rb, func(pairKey string, out taskmgr.Outcome) {
-				pass := out.Err == nil && out.Value.Truthy()
-				if pass {
-					*passed = append(*passed, pairKey)
-				}
-				ctr.resolve(out, pass)
+				ctr.resolve(out, passKey(out, pairKey))
 			})
 		}
 	}
@@ -873,12 +700,8 @@ func gridJoin(mgr *taskmgr.Manager, ctr *counters, def *qlang.TaskDef,
 // HITs, the interface the paper found cheapest per pair.
 func joinGrids(ds workload.Dataset) scenario {
 	samePerson, _ := joinTasks()
-	var passed []string
-	return scenario{
-		drive: func(mgr *taskmgr.Manager, ctr *counters) {
-			gridJoin(mgr, ctr, samePerson, joinItems(ds.Tables[0]), joinItems(ds.Tables[1]), &passed)
-		},
-		finish: func(rep *Report) { rep.PassedKeysFNV = fingerprint(passed) },
+	return func(mgr *taskmgr.Manager, ctr *counters) {
+		gridJoin(mgr, ctr, samePerson, joinItems(ds.Tables[0]), joinItems(ds.Tables[1]))
 	}
 }
 
@@ -894,8 +717,7 @@ func joinGrids(ds workload.Dataset) scenario {
 func joinPreFilter(ds workload.Dataset, cfg Config) scenario {
 	samePerson, isCeleb := joinTasks()
 	const probeN = 25
-	var passed []string
-	drive := func(mgr *taskmgr.Manager, ctr *counters) {
+	return func(mgr *taskmgr.Manager, ctr *counters) {
 		left := joinItems(ds.Tables[0])
 		right := joinItems(ds.Tables[1])
 		keepL := make([]bool, len(left))
@@ -912,7 +734,7 @@ func joinPreFilter(ds workload.Dataset, cfg Config) scenario {
 			}
 			for i := from; i < to; i++ {
 				i := i
-				ctr.outstanding.Add(1)
+				ctr.outstanding++
 				mgr.Submit(taskmgr.Request{
 					Def:         isCeleb,
 					Args:        items[i].Args,
@@ -920,7 +742,7 @@ func joinPreFilter(ds workload.Dataset, cfg Config) scenario {
 					StatSide:    side,
 					Done: func(out taskmgr.Outcome) {
 						keep[i] = out.Err != nil || out.Value.Truthy() // fail open
-						ctr.resolve(out, false)
+						ctr.resolve(out, "")
 						pending--
 						if pending == 0 {
 							next()
@@ -953,7 +775,7 @@ func joinPreFilter(ds workload.Dataset, cfg Config) scenario {
 				if !choice.Left && !choice.Right {
 					// Not worth it: the whole cross product joins, probe
 					// answers discarded (their cost is sunk).
-					gridJoin(mgr, ctr, samePerson, left, right, &passed)
+					gridJoin(mgr, ctr, samePerson, left, right)
 					return
 				}
 				// Complete only the chosen stages; an unchosen side joins
@@ -967,7 +789,7 @@ func joinPreFilter(ds workload.Dataset, cfg Config) scenario {
 					if choice.Right {
 						joinR = survivors(right, keepR)
 					}
-					gridJoin(mgr, ctr, samePerson, joinL, joinR, &passed)
+					gridJoin(mgr, ctr, samePerson, joinL, joinR)
 				}
 				stageR := func() {
 					if !choice.Right {
@@ -984,10 +806,6 @@ func joinPreFilter(ds workload.Dataset, cfg Config) scenario {
 			})
 		})
 	}
-	return scenario{
-		drive:  drive,
-		finish: func(rep *Report) { rep.PassedKeysFNV = fingerprint(passed) },
-	}
 }
 
 // orderByRatings collects a 1–7 rating per item, then sorts by mean
@@ -1000,13 +818,13 @@ RETURNS Int:
   Text: "Rate this item from 1 to 7. %s", img
   Response: Rating(1, 7)
 `)
-	return scenario{drive: func(mgr *taskmgr.Manager, ctr *counters) {
+	return func(mgr *taskmgr.Manager, ctr *counters) {
 		for _, row := range ds.Tables[0].Snapshot() {
 			img := row.Get("img")
-			ctr.outstanding.Add(1)
+			ctr.outstanding++
 			mgr.Submit(taskmgr.Request{Def: rateItem, Args: []relation.Value{img}, Done: func(out taskmgr.Outcome) {
-				ctr.resolve(out, out.Err == nil)
+				ctr.resolve(out, img.Str())
 			}})
 		}
-	}}
+	}
 }

@@ -1,7 +1,6 @@
 package load
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -13,6 +12,7 @@ import (
 	"repro/internal/crowd"
 	"repro/internal/relation"
 	"repro/internal/taskmgr"
+	"repro/internal/workload"
 )
 
 // multitenantTask is the one filter task every tenant query applies;
@@ -32,7 +32,7 @@ func tenantTable(i int) string { return fmt.Sprintf("tenant%03d", i) }
 // collide across tenants, so neither the Task Cache nor a shared HIT
 // can conflate two queries' items) plus a single oracle that reads the
 // ground truth back out of the key itself.
-func tenantTables(queries, perQuery int, seed int64) ([]*relation.Table, crowd.Oracle) {
+func tenantTables(queries, perQuery int, seed int64) workload.Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	schema := relation.MustSchema(relation.Column{Name: "img", Kind: relation.KindImage})
 	tables := make([]*relation.Table, queries)
@@ -53,7 +53,7 @@ func tenantTables(queries, perQuery int, seed int64) ([]*relation.Table, crowd.O
 		}
 		return relation.NewBool(strings.Contains(args[0].Str(), "feline"))
 	})
-	return tables, oracle
+	return workload.Dataset{Tables: tables, Oracle: oracle}
 }
 
 // runMultiTenant drives Config.Queries concurrent streaming queries
@@ -74,40 +74,17 @@ func tenantTables(queries, perQuery int, seed int64) ([]*relation.Table, crowd.O
 // must sum exactly to the account's total spend, or the run errors.
 func runMultiTenant(cfg Config) (Report, error) {
 	rep := Report{Config: cfg}
-	perQuery := cfg.Tuples / cfg.Queries
-	if perQuery < 1 {
-		perQuery = 1
-	}
-	tables, oracle := tenantTables(cfg.Queries, perQuery, cfg.Seed)
-
-	eng, err := core.New(core.Config{
-		Oracle: oracle,
-		Crowd: crowd.Config{
-			Workers:      cfg.Workers,
-			Shards:       cfg.Shards,
-			Seed:         cfg.Seed,
-			MeanSkill:    cfg.Skill,
-			SkillStd:     cfg.SkillStd,
-			SpamFraction: cfg.Spam,
-			AbandonRate:  cfg.Abandon,
-			BatchPenalty: cfg.BatchPenalty,
-		},
+	perQuery := max(1, cfg.Tuples/cfg.Queries)
+	eng, err := NewEngine(core.Config{
+		Crowd:           cfg.crowdConfig(),
 		MaxInflightHITs: cfg.MaxInflight,
 		PlanCacheSize:   cfg.planCacheSize(),
 		Trace:           cfg.TracePath != "",
-	})
+	}, multitenantTask, tenantTables(cfg.Queries, perQuery, cfg.Seed))
 	if err != nil {
-		return rep, fmt.Errorf("load: %v", err)
-	}
-	defer eng.Close()
-	for _, t := range tables {
-		if err := eng.Register(t); err != nil {
-			return rep, err
-		}
-	}
-	if err := eng.Define(multitenantTask); err != nil {
 		return rep, err
 	}
+	defer eng.Close()
 	eng.Manager().SetBasePolicy(taskmgr.Policy{
 		Assignments: cfg.Assignments, BatchSize: cfg.Batch, PriceCents: cfg.PriceCents,
 		Linger: time.Minute, UseCache: true,
@@ -132,33 +109,30 @@ func runMultiTenant(cfg Config) (Report, error) {
 	start := time.Now()
 	var wg sync.WaitGroup
 	for i := range results {
-		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rows, err := eng.Query(context.Background(),
-				fmt.Sprintf("SELECT img FROM %s WHERE isCat(img)", tenantTable(i)),
-				core.WithSharedBatching(!cfg.NoShare))
-			if err != nil {
+			rows, h, err := Query(eng, fmt.Sprintf("SELECT img FROM %s WHERE isCat(img)", tenantTable(i)),
+				nil, core.WithSharedBatching(!cfg.NoShare))
+			if h == nil {
 				results[i].err = err
 				return
 			}
-			defer rows.Close()
-			var passed []string
-			for rows.Next() {
-				passed = append(passed, rows.Tuple().Values[0].Str())
+			passed := make([]string, len(rows))
+			for j, row := range rows {
+				passed[j] = row.Values[0].Str()
 			}
-			results[i].err = rows.Err()
-			results[i].fnv = fingerprint(passed)
-			results[i].passed = int64(len(passed))
-			results[i].spent = rows.Handle().SunkCents()
+			results[i] = result{fnv: fingerprint(passed), passed: int64(len(passed)), spent: h.SunkCents(), err: err}
 		}()
 	}
 	wg.Wait()
 	eng.Clock().SetPace(0) // queries done; drain the tail at full speed
 	rep.Wall = time.Since(start)
-	if err := waitStreamingQuiesce(eng); err != nil {
+	if err := engineTotals(eng, &rep); err != nil {
 		return rep, err
+	}
+	if secs := rep.Wall.Seconds(); secs > 0 {
+		rep.HITsPerSec = float64(rep.HITs) / secs
 	}
 
 	var all []string // per-query FNVs re-hashed into one combined print
@@ -177,23 +151,10 @@ func runMultiTenant(cfg Config) (Report, error) {
 		if minSpent < 0 || r.spent < minSpent {
 			minSpent = r.spent
 		}
-		if r.spent > maxSpent {
-			maxSpent = r.spent
-		}
+		maxSpent = max(maxSpent, r.spent)
 	}
 	rep.PassedKeysFNV = fingerprint(all)
 	rep.FairSpreadCents = maxSpent - minSpent
-
-	st := eng.Marketplace().Stats()
-	rep.HITs = int64(st.HITsPosted)
-	rep.Assignments = int64(st.AssignmentsCompleted)
-	rep.Questions = int64(st.QuestionsAnswered)
-	rep.Spent = eng.Manager().Account().Spent()
-	rep.DollarsPerQuery = float64(rep.Spent) / 100
-	rep.Makespan = eng.Clock().Now()
-	if secs := rep.Wall.Seconds(); secs > 0 {
-		rep.HITsPerSec = float64(rep.HITs) / secs
-	}
 	sh := eng.Manager().Sharing()
 	rep.SharedHITs = sh.SharedHITs
 	rep.CoBatchedItems = sh.CoBatchedItems
@@ -205,11 +166,6 @@ func runMultiTenant(cfg Config) (Report, error) {
 	// and post-failure rollbacks alike.
 	if sum != rep.Spent {
 		return rep, fmt.Errorf("load: ledger drift: per-query sunk costs sum to %v, account spent %v", sum, rep.Spent)
-	}
-	sink := newTraceSink(cfg)
-	sink.collect(eng.Tracer())
-	if err := sink.flush(); err != nil {
-		return rep, err
 	}
 	return rep, nil
 }

@@ -42,30 +42,3 @@ func TestMultiTenantSharingSavesHITs(t *testing.T) {
 		t.Fatal("report lacks the multitenant line")
 	}
 }
-
-// TestMultiTenantFingerprintsRerunIdentical reruns the same config and
-// asserts the per-query and combined fingerprints are identical — the
-// scheduler may interleave hundreds of queries differently, but with
-// the workload's exactly-perfect default crowd the results cannot
-// move. (The ledger audit — per-query sunk costs summing exactly to
-// the account — runs inside Run and fails the run on drift.)
-func TestMultiTenantFingerprintsRerunIdentical(t *testing.T) {
-	cfg := Config{Workload: WorkloadMultiTenant, Queries: 15, Tuples: 100, Workers: 40, Seed: 7}
-	first, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.PassedKeysFNV != again.PassedKeysFNV {
-		t.Fatalf("combined fingerprint drifted across reruns: %016x vs %016x",
-			first.PassedKeysFNV, again.PassedKeysFNV)
-	}
-	for i := range first.PerQueryFNV {
-		if first.PerQueryFNV[i] != again.PerQueryFNV[i] {
-			t.Fatalf("query %d fingerprint drifted across reruns", i)
-		}
-	}
-}

@@ -1,18 +1,11 @@
 package load
 
 import (
-	"fmt"
-	"hash/fnv"
-	"sort"
 	"time"
 
-	"repro/internal/budget"
-	"repro/internal/crowd"
-	"repro/internal/mturk"
 	"repro/internal/qlang"
 	"repro/internal/rank"
 	"repro/internal/relation"
-	"repro/internal/taskmgr"
 	"repro/internal/workload"
 )
 
@@ -39,171 +32,69 @@ RETURNS Int:
 	return rateItem, orderItems
 }
 
-// sortPhase is one strategy's isolated run: its own clock, crowd,
-// marketplace and task manager (same seed), so per-strategy HIT counts
-// and spend are directly comparable and every phase is deterministic.
-type sortPhase struct {
-	HITs      int64
-	Spent     budget.Cents
-	Makespan  mturk.VirtualTime
-	Latencies []time.Duration
-	Keys      []string // item keys in final order
-	Stats     rank.Stats
-}
-
-// runSortPhase executes one strategy over the shared dataset.
-func runSortPhase(cfg Config, d rank.Decision, sink *traceSink) (sortPhase, error) {
-	var ph sortPhase
+// runSort drives the sort workload: the same dataset ordered four
+// ways — rate, all-pairs compare, compare with top-k pushdown, and the
+// rate-then-refine hybrid — each in an isolated deterministic phase on
+// its own stack (same seed), so per-strategy HIT counts and spend are
+// directly comparable. The report carries per-strategy HIT counts and
+// order fingerprints, so Check can assert that top-k pays fewer
+// comparison HITs than full ordering and that hybrid pays fewer HITs
+// than compare-only at an identical final order.
+func runSort(cfg Config) (Report, error) {
+	rep := Report{Config: cfg}
 	rateDef, cmpDef := sortTasks()
-
+	groupSize := rank.GroupSizeFor(rateDef, cmpDef)
+	decisions := []rank.Decision{
+		{Strategy: rank.StrategyRate, GroupSize: groupSize},
+		{Strategy: rank.StrategyCompare, GroupSize: groupSize},
+		{Strategy: rank.StrategyCompare, GroupSize: groupSize, TopK: cfg.TopK},
+		{Strategy: rank.StrategyHybrid, GroupSize: groupSize},
+	}
 	ds := workload.RankItems(cfg.Tuples, 9, "rateItem", cfg.Seed)
 	oracle := workload.Combine(ds.Oracle, workload.OrderOracle(ds.Tables[0], "orderItems"))
-
-	clock := mturk.NewClock()
-	defer clock.Close()
-	pool := crowd.NewPool(crowd.Config{
-		Workers:      cfg.Workers,
-		Shards:       cfg.Shards,
-		Seed:         cfg.Seed,
-		MeanSkill:    cfg.Skill,
-		SkillStd:     cfg.SkillStd,
-		SpamFraction: cfg.Spam,
-		AbandonRate:  cfg.Abandon,
-		BatchPenalty: cfg.BatchPenalty,
-	}, oracle)
-	market := mturk.NewMarketplace(clock, pool)
-	market.SetAutoDispose(true, func(hs mturk.HITStatus) {
-		ph.Latencies = append(ph.Latencies, (hs.DoneAt - hs.PostedAt).Duration())
-	})
-	mgr := taskmgr.New(market, nil, nil, nil)
-	tr := sink.tracer(clock.Now)
-	if tr != nil {
-		mgr.SetObs(tr)
-	}
-	mgr.SetBasePolicy(taskmgr.Policy{
-		Assignments: cfg.Assignments,
-		BatchSize:   cfg.Batch,
-		PriceCents:  cfg.PriceCents,
-		Linger:      time.Minute,
-		UseCache:    false,
-		UseModel:    false,
-	})
-
 	rows := ds.Tables[0].Snapshot()
 	items := make([]rank.Item, len(rows))
 	for i, row := range rows {
 		items[i] = rank.Item{Key: row.Get("img").Str(), Args: []relation.Value{row.Get("img")}}
 	}
 
-	finished := false
-	rank.Run(items, rateDef, cmpDef, d, rank.Config{
-		Mgr: mgr,
-	}, func(perm []int, st rank.Stats) {
-		ph.Stats = st
-		ph.Keys = make([]string, len(perm))
-		for i, p := range perm {
-			ph.Keys[i] = items[p].Key
-		}
-		finished = true
-	})
-	// Pump on this goroutine; every follow-up round is submitted inside
-	// Done callbacks, which run here too, so the run is deterministic.
-	for !finished {
-		if !clock.Step() {
-			mgr.FlushAll()
-			if !clock.Step() {
-				return ph, fmt.Errorf("load: sort phase %s stalled", d.Strategy)
-			}
-		}
-	}
-	st := market.Stats()
-	ph.HITs = int64(st.HITsPosted)
-	ph.Spent = st.SpentCents
-	ph.Makespan = clock.Now()
-	sink.collect(tr)
-	return ph, nil
-}
-
-// orderFingerprint hashes a key sequence in order (unlike fingerprint,
-// which sorts): two runs agree iff they produced the same total order.
-func orderFingerprint(keys []string) uint64 {
-	h := fnv.New64a()
-	for _, key := range keys {
-		_, _ = h.Write([]byte(key))
-		_, _ = h.Write([]byte{0})
-	}
-	return h.Sum64()
-}
-
-// runSort drives the sort workload: the same dataset ordered four
-// ways — rate, all-pairs compare, compare with top-k pushdown, and the
-// rate-then-refine hybrid — each in an isolated deterministic phase.
-// The report carries per-strategy HIT counts and order fingerprints so
-// the -verify harness (and CI) can assert that top-k pays fewer
-// comparison HITs than full ordering, that hybrid pays fewer HITs than
-// compare-only at an identical final order, and that reruns are
-// byte-identical.
-func runSort(cfg Config) (Report, error) {
-	rep := Report{Config: cfg}
-	groupSize := rank.GroupSizeFor(sortTasks())
-
-	sink := newTraceSink(cfg)
-	start := time.Now()
-	ratePh, err := runSortPhase(cfg, rank.Decision{Strategy: rank.StrategyRate, GroupSize: groupSize}, sink)
-	if err != nil {
-		return rep, err
-	}
-	comparePh, err := runSortPhase(cfg, rank.Decision{Strategy: rank.StrategyCompare, GroupSize: groupSize}, sink)
-	if err != nil {
-		return rep, err
-	}
-	topkPh, err := runSortPhase(cfg, rank.Decision{Strategy: rank.StrategyCompare, GroupSize: groupSize, TopK: cfg.TopK}, sink)
-	if err != nil {
-		return rep, err
-	}
-	hybridPh, err := runSortPhase(cfg, rank.Decision{Strategy: rank.StrategyHybrid, GroupSize: groupSize}, sink)
-	if err != nil {
-		return rep, err
-	}
-	rep.Wall = time.Since(start)
-	if err := sink.flush(); err != nil {
-		return rep, err
-	}
-
-	phases := []sortPhase{ratePh, comparePh, topkPh, hybridPh}
+	keys := make([][]string, len(decisions)) // item keys in each phase's final order
 	var latencies []time.Duration
+	phases, err := runPhases(&rep, oracle, func(i int, s *stack) (phase, error) {
+		var st rank.Stats
+		finished := false
+		rank.Run(items, rateDef, cmpDef, decisions[i], rank.Config{Mgr: s.mgr}, func(perm []int, stats rank.Stats) {
+			st = stats
+			for _, p := range perm {
+				keys[i] = append(keys[i], items[p].Key)
+			}
+			finished = true
+		})
+		err := s.pump(func() bool { return finished })
+		latencies = append(latencies, s.latencies...)
+		return s.measure(&counters{outcomes: 1, errors: int64(st.Errors)}), err
+	}, make([]variant, len(decisions))...)
+	if err != nil {
+		return rep, err
+	}
 	for _, ph := range phases {
 		rep.HITs += ph.HITs
 		rep.Spent += ph.Spent
-		rep.Errors += int64(ph.Stats.Errors)
-		rep.Outcomes++
-		if ph.Makespan > rep.Makespan {
-			rep.Makespan = ph.Makespan
-		}
-		latencies = append(latencies, ph.Latencies...)
+		rep.Errors += ph.Errors
+		rep.Outcomes += ph.Outcomes
+		rep.Makespan = max(rep.Makespan, ph.Makespan)
 	}
-	rep.Passed = int64(len(comparePh.Keys))
-	rep.DollarsPerQuery = float64(rep.Spent) / 100
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	if n := len(latencies); n > 0 {
-		rep.P50 = latencies[n/2]
-		rep.P99 = latencies[min(n-1, n*99/100)]
-		if secs := rep.Wall.Seconds(); secs > 0 {
-			rep.HITsPerSec = float64(n) / secs
-		}
-	}
+	rep.Passed = int64(len(keys[1]))
+	rep.setLatencies(latencies)
 
-	rep.SortRateHITs = ratePh.HITs
-	rep.SortCompareHITs = comparePh.HITs
-	rep.SortTopKHITs = topkPh.HITs
-	rep.SortHybridHITs = hybridPh.HITs
-	rep.SortOrderFNV = orderFingerprint(comparePh.Keys)
-	rep.SortHybridFNV = orderFingerprint(hybridPh.Keys)
-	k := cfg.TopK
-	if k > len(topkPh.Keys) {
-		k = len(topkPh.Keys)
-	}
-	rep.SortTopKFNV = orderFingerprint(topkPh.Keys[:k])
-	rep.SortTopKBaseFNV = orderFingerprint(comparePh.Keys[:k])
+	rep.SortRateHITs = phases[0].HITs
+	rep.SortCompareHITs = phases[1].HITs
+	rep.SortTopKHITs = phases[2].HITs
+	rep.SortHybridHITs = phases[3].HITs
+	rep.SortOrderFNV = orderFingerprint(keys[1])
+	rep.SortHybridFNV = orderFingerprint(keys[3])
+	k := min(cfg.TopK, len(keys[2]))
+	rep.SortTopKFNV = orderFingerprint(keys[2][:k])
+	rep.SortTopKBaseFNV = orderFingerprint(keys[1][:k])
 	return rep, nil
 }

@@ -7,7 +7,7 @@ func sortCfg() Config {
 	return Config{Workload: WorkloadSort, Tuples: 80, Workers: 200}
 }
 
-// TestSortWorkloadEconomics asserts the issue's acceptance criteria on
+// TestSortWorkloadEconomics asserts the workload's contracts (Check) on
 // the seed-pinned harness: LIMIT-k pays measurably fewer comparison
 // HITs than full ordering, hybrid pays fewer HITs than compare-only at
 // an identical final-order fingerprint, and the tournament's top k
@@ -20,17 +20,8 @@ func TestSortWorkloadEconomics(t *testing.T) {
 	if rep.SortCompareHITs == 0 || rep.SortRateHITs == 0 {
 		t.Fatalf("report = %+v", rep)
 	}
-	if rep.SortTopKHITs >= rep.SortCompareHITs {
-		t.Fatalf("top-k paid %d comparison HITs, full ordering paid %d", rep.SortTopKHITs, rep.SortCompareHITs)
-	}
-	if rep.SortHybridHITs >= rep.SortCompareHITs {
-		t.Fatalf("hybrid paid %d HITs, compare paid %d", rep.SortHybridHITs, rep.SortCompareHITs)
-	}
-	if rep.SortHybridFNV != rep.SortOrderFNV {
-		t.Fatalf("hybrid order %016x != compare order %016x", rep.SortHybridFNV, rep.SortOrderFNV)
-	}
-	if rep.SortTopKFNV != rep.SortTopKBaseFNV {
-		t.Fatalf("top-k order %016x != compare's first k %016x", rep.SortTopKFNV, rep.SortTopKBaseFNV)
+	if err := Check(rep); err != nil {
+		t.Fatal(err)
 	}
 	if rep.Errors != 0 {
 		t.Fatalf("errors = %d", rep.Errors)
@@ -53,25 +44,5 @@ func TestSortTopKClampedBelowGroupSize(t *testing.T) {
 	}
 	if rep.SortTopKHITs >= rep.SortCompareHITs {
 		t.Fatalf("clamped top-k paid %d HITs, compare paid %d", rep.SortTopKHITs, rep.SortCompareHITs)
-	}
-}
-
-// TestSortWorkloadDeterministic: identical configs give byte-identical
-// virtual-time metrics and fingerprints across reruns.
-func TestSortWorkloadDeterministic(t *testing.T) {
-	first, err := Run(sortCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := Run(sortCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.HITs != second.HITs || first.Spent != second.Spent || first.Makespan != second.Makespan ||
-		first.SortRateHITs != second.SortRateHITs || first.SortCompareHITs != second.SortCompareHITs ||
-		first.SortTopKHITs != second.SortTopKHITs || first.SortHybridHITs != second.SortHybridHITs ||
-		first.SortOrderFNV != second.SortOrderFNV || first.SortHybridFNV != second.SortHybridFNV ||
-		first.SortTopKFNV != second.SortTopKFNV {
-		t.Fatalf("nondeterministic sort workload:\nfirst:\n%s\nsecond:\n%s", first, second)
 	}
 }

@@ -1,15 +1,14 @@
 package load
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/crowd"
 	"repro/internal/exec"
 	"repro/internal/qerr"
+	"repro/internal/relation"
 	"repro/internal/taskmgr"
 	"repro/internal/workload"
 )
@@ -38,42 +37,20 @@ RETURNS Bool:
 // stops, open HITs drain, budget refunds land in Spent).
 func runStreaming(cfg Config) (Report, error) {
 	rep := Report{Config: cfg}
-	ds := workload.Photos(cfg.Tuples, 0.5, 0.6, cfg.Seed)
-
-	skill := cfg.Skill
-	if skill == 0 {
-		skill = 0.999 // near-perfect: outcomes equal ground truth
-	}
-	eng, err := core.New(core.Config{
-		Oracle: ds.Oracle,
-		Crowd: crowd.Config{
-			Workers:      1, // single worker ⇒ completions in claim order
-			Shards:       1,
-			Seed:         cfg.Seed,
-			MeanSkill:    skill,
-			SkillStd:     nonZero(cfg.SkillStd, 1e-9),
-			SpamFraction: nonZero(cfg.Spam, 1e-12),
-			AbandonRate:  nonZero(cfg.Abandon, 1e-12),
-			BatchPenalty: nonZero(cfg.BatchPenalty, 1e-9),
-		},
+	crowdCfg := cfg.crowdConfig()
+	crowdCfg.Workers, crowdCfg.Shards = 1, 1 // single worker ⇒ completions in claim order
+	eng, err := NewEngine(core.Config{
+		Crowd: crowdCfg,
 		// The window throttles posting so cancellation has something to
 		// save: at most StreamWindow HITs are in flight at once.
 		Exec:          exec.Config{FilterWindow: cfg.StreamWindow},
 		PlanCacheSize: cfg.planCacheSize(),
 		Trace:         cfg.TracePath != "",
-	})
+	}, streamingTask, workload.Photos(cfg.Tuples, 0.5, 0.6, cfg.Seed))
 	if err != nil {
-		return rep, fmt.Errorf("load: %v", err)
-	}
-	defer eng.Close()
-	for _, t := range ds.Tables {
-		if err := eng.Register(t); err != nil {
-			return rep, err
-		}
-	}
-	if err := eng.Define(streamingTask); err != nil {
 		return rep, err
 	}
+	defer eng.Close()
 	eng.Manager().SetBasePolicy(taskmgr.Policy{
 		Assignments: 1, BatchSize: 1, PriceCents: cfg.PriceCents,
 		Linger: time.Minute, UseCache: true,
@@ -88,29 +65,19 @@ func runStreaming(cfg Config) (Report, error) {
 	eng.Clock().SetPace(2e-5)
 	defer eng.Clock().SetPace(0)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	start := time.Now()
-	rows, err := eng.Query(ctx, `SELECT img FROM photos WHERE isCat(img)`)
-	if err != nil {
-		return rep, err
-	}
-	defer rows.Close()
 	var delivered []string
-	for rows.Next() {
-		delivered = append(delivered, rows.Tuple().Values[0].String())
-		if cfg.CancelAfter > 0 && len(delivered) == cfg.CancelAfter {
-			cancel()
-		}
-	}
+	start := time.Now()
+	_, h, err := Query(eng, `SELECT img FROM photos WHERE isCat(img)`, func(t relation.Tuple) bool {
+		delivered = append(delivered, t.Values[0].String())
+		return len(delivered) != cfg.CancelAfter
+	})
 	eng.Clock().SetPace(0) // stream observed; drain the rest at full speed
 
 	// The cursor only ends after Cancel closed the operator queues,
 	// which happens strictly after the scope was canceled — so from this
 	// point every newly posted HIT would be money spent on a dead query.
 	postedAtCancel := eng.Marketplace().Stats().HITsPosted
-
-	if err := rows.Err(); err != nil {
+	if err != nil {
 		expectCancel := cfg.CancelAfter > 0 && cfg.CancelAfter <= len(delivered)
 		if !expectCancel || !errors.Is(err, qerr.ErrCanceled) {
 			return rep, fmt.Errorf("load: streaming query: %w", err)
@@ -121,22 +88,13 @@ func runStreaming(cfg Config) (Report, error) {
 	// Let the simulation quiesce (claims for expired HITs drain) and
 	// compare against the at-cancellation snapshot: the difference is
 	// HITs posted after the cancellation took effect.
-	if err := waitStreamingQuiesce(eng); err != nil {
+	if err := engineTotals(eng, &rep); err != nil {
 		return rep, err
 	}
-	time.Sleep(10 * time.Millisecond)
-	rep.HITsAfterCancel = int64(eng.Marketplace().Stats().HITsPosted - postedAtCancel)
-
-	st := eng.Marketplace().Stats()
-	rep.HITs = int64(st.HITsPosted)
-	rep.Assignments = int64(st.AssignmentsCompleted)
-	rep.Questions = int64(st.QuestionsAnswered)
-	rep.Spent = eng.Manager().Account().Spent() // refund-adjusted sunk cost
-	rep.DollarsPerQuery = float64(rep.Spent) / 100
-	rep.Makespan = eng.Clock().Now()
+	rep.HITsAfterCancel = rep.HITs - int64(postedAtCancel)
 	rep.Outcomes = int64(len(delivered))
 	rep.Passed = int64(len(delivered))
-	if at, ok := rows.Handle().Exec.FirstRowAt(); ok {
+	if at, ok := h.Exec.FirstRowAt(); ok {
 		rep.FirstRow = at
 	}
 	prefix := delivered
@@ -145,32 +103,5 @@ func runStreaming(cfg Config) (Report, error) {
 	}
 	rep.Delivered = int64(len(prefix))
 	rep.PassedKeysFNV = fingerprint(append([]string(nil), prefix...))
-	sink := newTraceSink(cfg)
-	sink.collect(eng.Tracer())
-	if err := sink.flush(); err != nil {
-		return rep, err
-	}
 	return rep, nil
-}
-
-func nonZero(v, fallback float64) float64 {
-	if v != 0 {
-		return v
-	}
-	return fallback
-}
-
-// waitStreamingQuiesce blocks until no assignments are in flight and no
-// clock events are pending (the engine pumps its own clock, so this is
-// a real-time wait on simulated progress).
-func waitStreamingQuiesce(eng *core.Engine) error {
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if eng.Manager().Inflight() == 0 && eng.Clock().Pending() == 0 {
-			return nil
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return fmt.Errorf("load: streaming run did not quiesce (inflight=%d pending=%d)",
-		eng.Manager().Inflight(), eng.Clock().Pending())
 }

@@ -12,48 +12,16 @@ func TestStreamingFirstRowBeforeLastHIT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Delivered == 0 {
-		t.Fatal("nothing delivered")
+	if rep.Delivered < 2 { // Check's first-row assertion needs an earlier HIT to precede
+		t.Fatalf("delivered %d rows", rep.Delivered)
 	}
-	if rep.FirstRow >= rep.Makespan {
-		t.Fatalf("first row at %.2f vmin did not precede makespan %.2f vmin",
-			rep.FirstRow.Minutes(), rep.Makespan.Minutes())
+	if err := Check(rep); err != nil {
+		t.Fatal(err)
 	}
 	if rep.HITsAfterCancel != 0 {
 		t.Fatalf("HITs posted after quiesce: %d", rep.HITsAfterCancel)
 	}
 	if !strings.Contains(rep.String(), "streaming") {
 		t.Fatal("report lacks the streaming line")
-	}
-}
-
-// TestStreamingCancelPrefixDeterministic cancels after a fixed number
-// of delivered rows and asserts no HITs post after cancellation, that
-// cancellation saved real money, and that the completed prefix's
-// fingerprint is rerun-identical.
-func TestStreamingCancelPrefixDeterministic(t *testing.T) {
-	cfg := Config{Workload: WorkloadStreaming, Tuples: 120, Seed: 2, CancelAfter: 10}
-	first, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.HITsAfterCancel != 0 {
-		t.Fatalf("HITs posted after cancel: %d", first.HITsAfterCancel)
-	}
-	if first.Delivered != 10 {
-		t.Fatalf("want the 10-row prefix, got %d", first.Delivered)
-	}
-	// 120 tuples at 1¢ single-assignment would cost ≥ 120¢ uncanceled;
-	// the canceled run must have kept well clear of that.
-	if first.Spent >= 120 {
-		t.Fatalf("cancellation saved nothing: spent %v", first.Spent)
-	}
-	again, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.PassedKeysFNV != first.PassedKeysFNV || again.Delivered != first.Delivered {
-		t.Fatalf("completed prefix not rerun-identical:\nfirst:  %d rows %016x\nsecond: %d rows %016x",
-			first.Delivered, first.PassedKeysFNV, again.Delivered, again.PassedKeysFNV)
 	}
 }

@@ -599,8 +599,12 @@ func (m *Manager) finalize(fl *flight) {
 			its.observeSelectivity(out.Value.Truthy(), it.side)
 			m.noteWorkerVotes(fl.byWorker, i, out.Value.Truthy())
 		}
+		var key cache.Key // encoded once, for the cache and the journal
+		if pol.UseCache || (j != nil && pol.TrainModel) {
+			key = cache.NewKey(it.def.Name, it.args)
+		}
 		if pol.UseCache {
-			m.cache.Put(cache.NewKey(it.def.Name, it.args), cache.Entry{Answers: answers})
+			m.cache.Put(key, cache.Entry{Answers: answers})
 		}
 		if pol.TrainModel && boolean {
 			if tm, ok := m.models.For(it.def.Name); ok {
@@ -608,7 +612,7 @@ func (m *Manager) finalize(fl *flight) {
 			}
 		}
 		if j != nil {
-			m.journalItem(j, pol, it.def, it.args, it.side, answers, out)
+			m.journalItem(j, pol, it.def, key, it.side, answers, out)
 		}
 		if it.done != nil {
 			resolved = append(resolved, resolution{done: it.done, out: out})

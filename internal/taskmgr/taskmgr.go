@@ -886,14 +886,13 @@ func (m *Manager) postBatch(st *taskState, batch []pendingItem, queuedAt mturk.V
 	})
 }
 
-// journalItem streams one finalized item's learned artifacts to the
-// journal: the cache entry, the selectivity/agreement observations and
-// the model training example. Answer slices are copied because done
-// callbacks receive (and may mutate) the originals while the store
-// encodes asynchronously.
+// journalItem streams one finalized item's learned artifacts (keyed by
+// the cache key finalize encoded) to the journal: the cache entry, the
+// selectivity/agreement observations and the model training example.
+// Answer slices are copied because done callbacks receive (and may
+// mutate) the originals while the store encodes asynchronously.
 func (m *Manager) journalItem(j Journal, pol Policy, def *qlang.TaskDef,
-	args []relation.Value, side string, answers []relation.Value, out Outcome) {
-	key := cache.NewKey(def.Name, args)
+	key cache.Key, side string, answers []relation.Value, out Outcome) {
 	if pol.UseCache {
 		j.Append(store.Record{
 			Kind: store.KindCacheEntry, Task: key.Task, Args: key.Args,
